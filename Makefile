@@ -58,6 +58,12 @@ check: build vet test race
 # every static NeverPoison claim against concrete enumeration (exit 1
 # on any violation). The legacy quick campaign also runs under
 # -verify-each so the battery covers the legacy dialect too.
+#
+# The paper's §6 claim then runs as a standing check, ahead of the
+# cache, workload and trace gates: the -O2 passes survive exhaustive
+# refinement checking of every 2-instruction i2 freeze-dialect function
+# (250000 candidates, about 12 s on 2 CPUs), so campaign_refuted_total
+# must be exactly 0.
 ci: vet test
 	$(GO) test -race ./internal/passes ./internal/optfuzz
 	$(GO) test -race -run 'Memo|Compiled|ProgramShared|ExecTwins|Lowering|Fold|Superblock|TierPromotion' ./internal/refine ./internal/core ./internal/core/bytecode ./internal/bench
@@ -71,6 +77,8 @@ ci: vet test
 	$(GO) run ./cmd/tame-metrics -check 'analysis_poison_queries_total>0,passes_freeze_elim_removed_total>0,verify_each_checks_total>0,verify_each_failures_total=0' metrics-verify-each.txt
 	$(GO) run ./cmd/tame-fuzz -poison-oracle -instrs 1 -n 0 -sem freeze -workers 2 -metrics - \
 	  | $(GO) run ./cmd/tame-metrics -check 'poison_oracle_funcs_total>0,poison_oracle_claims_total>0,poison_oracle_execs_total>0,poison_oracle_violations_total=0'
+	$(GO) run ./cmd/tame-fuzz -validate -sem freeze -instrs 2 -n 250000 -workers 2 -metrics - \
+	  | $(GO) run ./cmd/tame-metrics -check 'campaign_refuted_total=0'
 	$(MAKE) ci-cache
 	$(MAKE) ci-workload
 	$(MAKE) ci-trace

@@ -441,7 +441,7 @@ func runCampaign(fl campaignFlags) {
 		// above includes cross-shard hits: one worker's derivation
 		// serves every other worker's structurally identical candidate.
 		fmt.Fprintf(os.Stderr,
-			"tame-fuzz: shared memo across %d workers: %d sets resident, %d evictions (second-chance clock)\n",
+			"tame-fuzz: shared memo across %d workers: %d sets resident, %d function entries evicted (second-chance clock)\n",
 			fl.workers, st.MemoSets, st.MemoEvictions)
 	}
 	if fl.optStats {

@@ -223,16 +223,23 @@ func EvalBinopConcrete(op ir.Op, attrs ir.Attrs, w uint, x, y uint64, mode Mode)
 
 // EvalBinopLane evaluates a binop on two lanes, handling poison: for
 // division and remainder a poison divisor is immediate UB (the divisor
-// could be zero); otherwise any poison operand yields poison. Undef
-// operands must already be resolved by the caller.
+// could be zero), and so is a zero divisor whatever the dividend —
+// division by zero is UB before a poison dividend can make the result
+// poison; otherwise any poison operand yields poison. Undef operands
+// must already be resolved by the caller.
 func EvalBinopLane(op ir.Op, attrs ir.Attrs, w uint, x, y Scalar, mode Mode) (Scalar, string) {
-	if op.IsDivRem() && y.Kind == PoisonVal {
-		return Scalar{}, op.String() + " by poison"
+	if x.Kind != PoisonVal && y.Kind != PoisonVal {
+		return EvalBinopConcrete(op, attrs, w, x.Bits, y.Bits, mode)
 	}
-	if x.Kind == PoisonVal || y.Kind == PoisonVal {
-		return PoisonScalar, ""
+	if op.IsDivRem() {
+		if y.Kind == PoisonVal {
+			return Scalar{}, op.String() + " by poison"
+		}
+		if y.Kind == Concrete && ir.TruncBits(y.Bits, w) == 0 {
+			return Scalar{}, op.String() + " by zero"
+		}
 	}
-	return EvalBinopConcrete(op, attrs, w, x.Bits, y.Bits, mode)
+	return PoisonScalar, ""
 }
 
 // EvalICmpConcrete compares two concrete lane values of width w.

@@ -36,7 +36,7 @@ const DefaultLowerCacheSize = 4096
 // could alter any behaviour set, outcome, or Check's deterministic
 // input enumeration — stale snapshots are then rejected wholesale
 // instead of replaying last build's verdicts.
-const SemanticsFingerprint = "tameir-sem-1"
+const SemanticsFingerprint = "tameir-sem-2"
 
 // lowerKey identifies one shareable lowering. All fields are scalars
 // or strings, so the key is comparable and stable across processes.

@@ -46,6 +46,9 @@ func CloneFunc(f *Func) *Func {
 	for _, b := range f.Blocks {
 		for _, in := range b.instrs {
 			ni := imap[in]
+			if len(in.args) > 0 {
+				ni.args = make([]Value, 0, len(in.args))
+			}
 			for _, a := range in.Args() {
 				if nv, ok := vmap[a]; ok {
 					ni.AddArg(nv)

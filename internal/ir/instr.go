@@ -146,19 +146,7 @@ const (
 
 // String renders the attribute list, with a trailing space when
 // non-empty so it can be inserted directly after the opcode.
-func (a Attrs) String() string {
-	s := ""
-	if a&NSW != 0 {
-		s += "nsw "
-	}
-	if a&NUW != 0 {
-		s += "nuw "
-	}
-	if a&Exact != 0 {
-		s += "exact "
-	}
-	return s
-}
+func (a Attrs) String() string { return string(appendAttrs(nil, a)) }
 
 // Pred is an icmp predicate.
 type Pred uint8
@@ -293,6 +281,9 @@ type Instr struct {
 // maintained from the start.
 func NewInstr(op Op, ty Type, args ...Value) *Instr {
 	in := &Instr{Op: op, Ty: ty}
+	if len(args) > 0 {
+		in.args = make([]Value, 0, len(args))
+	}
 	for _, a := range args {
 		in.AddArg(a)
 	}

@@ -153,13 +153,7 @@ func (t Type) String() string {
 	case PtrKind:
 		return "ptr"
 	case VecKind:
-		var b strings.Builder
-		b.WriteByte('<')
-		b.WriteString(strconv.FormatUint(uint64(t.Len), 10))
-		b.WriteString(" x ")
-		b.WriteString(t.ElemType().String())
-		b.WriteByte('>')
-		return b.String()
+		return string(appendType(nil, t))
 	case VoidKind:
 		return "void"
 	}

@@ -317,8 +317,9 @@ type Stats struct {
 	Findings []Finding
 
 	// MemoHits / MemoLookups / MemoEvictions are the shared memo's
-	// counters after the run; MemoSets is how many behaviour sets it
-	// ended up holding. Under Workers > 1 the hit/eviction split is
+	// counters after the run (an eviction drops one function entry
+	// with all its sets); MemoSets is how many behaviour sets it ended
+	// up holding. Under Workers > 1 the hit/eviction split is
 	// scheduling-dependent (the verdicts above are not).
 	MemoHits      uint64
 	MemoLookups   uint64
@@ -1016,11 +1017,12 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 
 // publish folds the campaign's merged collectors into c.Telemetry.
 // Verdict counters, the workload-labelled twins, the corpus/reducer
-// counters, and the per-shard checker/engine/program-cache counters
-// are Deterministic (pure functions of the shard partition); everything
-// touching the shared memo is Scheduling, because which worker computes
-// a shared behaviour set first is a race whenever more than one runs —
-// and the class must not depend on the worker count.
+// counters, and the per-shard checker counters are Deterministic (pure
+// functions of the shard partition); everything touching the shared
+// memo is Scheduling, because which worker computes a shared behaviour
+// set first is a race whenever more than one runs — and the class must
+// not depend on the worker count. The program cache counts as memo
+// traffic: Check compiles a side only at its first memo miss.
 func (c Campaign) publish(out Stats, shardRuns int, check *refine.CheckMetrics, prog core.ProgramCacheStats, poolPM *parallel.PoolMetrics, sharedMemo, diskCache, corpus bool) {
 	reg := c.Telemetry
 	if reg == nil {
@@ -1061,11 +1063,11 @@ func (c Campaign) publish(out Stats, shardRuns int, check *refine.CheckMetrics, 
 		memoClass = telemetry.Scheduling
 	}
 	check.Publish(reg, memoClass)
-	prog.Publish(reg, det)
+	prog.Publish(reg, memoClass)
 	if sharedMemo {
 		reg.Counter("memo_lookups_total", telemetry.Scheduling, "shared-memo lookups").Add(out.MemoLookups)
 		reg.Counter("memo_hits_total", telemetry.Scheduling, "shared-memo hits").Add(out.MemoHits)
-		reg.Counter("memo_evictions_total", telemetry.Scheduling, "shared-memo evictions").Add(out.MemoEvictions)
+		reg.Counter("memo_evictions_total", telemetry.Scheduling, "shared-memo function entries evicted, with all their sets").Add(out.MemoEvictions)
 		reg.Gauge("memo_sets", telemetry.Scheduling, "behaviour sets resident in the shared memo").Set(int64(out.MemoSets))
 	}
 	if diskCache {

@@ -454,3 +454,40 @@ entry:
 		t.Errorf("i32 identity check should be inconclusive/sampled: %s", r)
 	}
 }
+
+// TestZeroDivisorIsUBBeforePoisonDividend is the first §6 exhaustive
+// candidate the checker used to refute (shard 1, index 9465):
+// instsimplify folds "sub x, x" to 0 in front of a udiv. For x = poison
+// and a zero divisor the source divides poison by zero. Division by
+// zero is immediate UB whatever the dividend, so the source is UB
+// there and the fold refines it; the checker must not report poison.
+func TestZeroDivisorIsUBBeforePoisonDividend(t *testing.T) {
+	for _, op := range []string{"udiv", "urem", "sdiv", "srem"} {
+		src := `define i2 @fz(i2 %p0, i2 %p1) {
+entry:
+  %v0 = sub i2 %p0, %p0
+  %v1 = ` + op + ` i2 %v0, %p1
+  ret i2 %v1
+}`
+		tgt := `define i2 @fz(i2 %p0, i2 %p1) {
+entry:
+  %v1 = ` + op + ` i2 0, %p1
+  ret i2 %v1
+}`
+		for _, opts := range []core.Options{core.FreezeOptions(), core.LegacyOptions(core.BranchPoisonNondet)} {
+			r := check(t, src, tgt, opts, opts)
+			if r.Status != Verified || !r.Exhaustive {
+				t.Errorf("%s mode=%v: %s, want verified (exhaustive)", op, opts.Mode, r)
+			}
+			fn := ir.MustParseFunc(src)
+			args := []core.Value{core.VPoison(ir.I2), core.VC(ir.I2, 0)}
+			for _, interp := range []bool{false, true} {
+				cfg := DefaultConfig(opts, opts)
+				cfg.Interpret = interp
+				if b := Behaviors(fn, args, opts, cfg); !b.UB || b.Poison {
+					t.Errorf("%s mode=%v interpret=%v: poison %s 0 gave %s, want UB", op, opts.Mode, interp, op, b)
+				}
+			}
+		}
+	}
+}
