@@ -37,8 +37,11 @@ check: build vet test race
 # registry's lock-free hot paths — then a quick E12 smoke across all
 # three tiers and both worker counts (exits nonzero if any engine
 # row's behaviour hash diverges from the interpreted baseline; its
-# rows land in BENCH_exec.json for the workflow artifact), and
-# finally a quick campaign that must export a parseable metric
+# rows land in BENCH_exec.json for the workflow artifact), then the
+# quick E13 workload rows (exhaustive, mutate with the reducer, wide8:
+# about 15-25 s on 2 CPUs since the compiled engines fast-forward
+# provably cycling executions; before that the mutate row did not
+# finish in 300 s), and finally a quick campaign that must export a parseable metric
 # snapshot carrying the counters the telemetry layer promises —
 # including, via the ">0" assertions, proof that tier promotion to
 # the bytecode VM actually fired (the legacy campaign: its undef
@@ -69,6 +72,7 @@ ci: vet test
 	$(GO) test -race -run 'Memo|Compiled|ProgramShared|ExecTwins|Lowering|Fold|Superblock|TierPromotion' ./internal/refine ./internal/core ./internal/core/bytecode ./internal/bench
 	$(GO) test -race -run 'TelemetryRaceStress' ./internal/telemetry
 	$(GO) run ./cmd/tame-bench -exp exec -quick -json BENCH_exec.json
+	$(GO) run ./cmd/tame-bench -exp workload -quick
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics - \
 	  | $(GO) run ./cmd/tame-metrics -check 'campaign_funcs_total,campaign_verified_total,check_checks_total,check_inputs_total,check_set_size,engine_steps_total,engine_execs_bytecode_total>0,engine_promotions_total>0,progcache_hits_total,memo_lookups_total,pool_tasks_total,pass_runs_total,opt_funcs_total,analysis_computes_total,span_wall_ns,verify_each_checks_total>0,verify_each_failures_total=0'
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics metrics-snapshot.json
@@ -108,8 +112,10 @@ ci-cache:
 # byte-identical final corpus; the exhaustive-on-Source path gets the
 # same cmp across workers 1 vs 4, proving the Source refactor did not
 # perturb the original stream. Liveness: the mutation run's metric
-# snapshot must show a populated corpus, novel coverage keys, and a
-# reducer that actually shrank findings. The ci-workload/ dir — both
+# snapshot must show a populated corpus, novel coverage keys, a
+# reducer that actually shrank findings, and executions the compiled
+# engines fast-forwarded on a proven state cycle (the legacy mutants'
+# undef loops are where that pays). The ci-workload/ dir — both
 # findings files, the corpus, and the metric snapshot — is kept for the
 # workflow's fuzz-corpus artifact.
 .PHONY: ci-workload
@@ -121,7 +127,7 @@ ci-workload:
 	  -corpus ci-workload/corpus-w8.ll > ci-workload/mutate-w8.txt || true
 	cmp ci-workload/mutate-w2.txt ci-workload/mutate-w8.txt
 	cmp ci-workload/corpus-w2.ll ci-workload/corpus-w8.ll
-	$(GO) run ./cmd/tame-metrics -check 'workload_funcs_total>0,workload_epochs_total>0,corpus_size>0,coverage_keys>0,reduce_steps_total>0,reduce_findings_total>0' ci-workload/mutate-metrics.json
+	$(GO) run ./cmd/tame-metrics -check 'workload_funcs_total>0,workload_epochs_total>0,corpus_size>0,coverage_keys>0,reduce_steps_total>0,reduce_findings_total>0,engine_cycle_cuts_total>0' ci-workload/mutate-metrics.json
 	$(GO) run ./cmd/tame-fuzz -validate -n 300 -workers 1 -sem freeze > ci-workload/exhaustive-w1.txt
 	$(GO) run ./cmd/tame-fuzz -validate -source exhaustive -n 300 -workers 4 -sem freeze > ci-workload/exhaustive-w4.txt
 	cmp ci-workload/exhaustive-w1.txt ci-workload/exhaustive-w4.txt

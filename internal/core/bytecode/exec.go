@@ -60,6 +60,10 @@ type Runner struct {
 
 	rootFr *frame
 	free   map[*fnProg][]*frame
+
+	// cyc watches the root activation for a state cycle (memory-free
+	// programs only; see core.CycleDetector).
+	cyc core.CycleDetector
 }
 
 // Run implements core.TierRunner, mirroring core.Executor.Run step for
@@ -94,7 +98,12 @@ func (r *Runner) Run(args []core.Value, o core.Oracle, m *core.EngineMetrics) co
 		r.rootFr = newFrame(p)
 		m.FramesAllocated++
 	}
-	out := r.exec(p, r.rootFr, args)
+	var det *core.CycleDetector
+	if !r.p.needsMem {
+		det = &r.cyc
+		det.Reset()
+	}
+	out := r.exec(p, r.rootFr, args, det)
 	r.rootFr.reset()
 	r.depth--
 	m.Execs++
@@ -180,7 +189,7 @@ func (r *Runner) invoke(p *fnProg, args []core.Value) core.Outcome {
 		fr = newFrame(p)
 		r.m.FramesAllocated++
 	}
-	out := r.exec(p, fr, args)
+	out := r.exec(p, fr, args, nil)
 	fr.reset()
 	if r.free == nil {
 		r.free = map[*fnProg][]*frame{}
@@ -198,8 +207,10 @@ var timeoutOut = core.Outcome{Kind: core.OutTimeout}
 // charged per original IR instruction exactly as the other engines
 // charge it: one unit checked-then-charged per step, none for phi
 // moves or pre/fall errors; fused bodies charge in bulk when covered
-// and refund the unexecuted tail on abort.
-func (r *Runner) exec(p *fnProg, fr *frame, args []core.Value) core.Outcome {
+// and refund the unexecuted tail on abort. det is non-nil only for a
+// root activation that may be fast-forwarded when it cycles; it sees
+// every block entry, since every block entry is a jump.
+func (r *Runner) exec(p *fnProg, fr *frame, args []core.Value, det *core.CycleDetector) core.Outcome {
 	for i, ps := range p.params {
 		if ps.vec {
 			fr.v[ps.slot] = args[i]
@@ -267,6 +278,9 @@ func (r *Runner) exec(p *fnProg, fr *frame, args []core.Value) core.Outcome {
 				return *out
 			}
 			pc = tgt
+			if det != nil && r.cycles(det, pc, fr) {
+				return timeoutOut
+			}
 
 		case opCondBr:
 			s, out := r.evalScalar(p, fr, &p.opds[a])
@@ -291,6 +305,9 @@ func (r *Runner) exec(p *fnProg, fr *frame, args []core.Value) core.Outcome {
 				return *out
 			}
 			pc = tgt
+			if det != nil && r.cycles(det, pc, fr) {
+				return timeoutOut
+			}
 
 		case opRet:
 			v, out := r.evalValue(p, fr, &p.opds[a])
@@ -309,6 +326,19 @@ func (r *Runner) exec(p *fnProg, fr *frame, args []core.Value) core.Outcome {
 			return p.outs[a]
 		}
 	}
+}
+
+// cycles runs the root block entry at pc past the cycle detector. On a
+// proven cycle it charges the remaining fuel, exactly as running the
+// loop out would, and the caller returns the fuel-exhaustion timeout.
+func (r *Runner) cycles(det *core.CycleDetector, pc int32, fr *frame) bool {
+	if r.steps < core.CycleArmSteps || !det.Visit(&r.o, pc, fr.s, fr.v) {
+		return false
+	}
+	r.steps += r.fuel
+	r.fuel = 0
+	r.m.CycleCuts++
+	return true
 }
 
 // takeEdge performs the edge's simultaneous phi assignment (all

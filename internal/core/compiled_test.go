@@ -108,9 +108,32 @@ func outcomeKey(o core.Outcome) string {
 	return s
 }
 
+// interpretSteps is core.Interpret that also reports the execution's
+// step count.
+func interpretSteps(fn *ir.Func, args []core.Value, o core.Oracle, opts core.Options) (core.Outcome, int) {
+	env, err := core.NewEnv(fn.Parent(), o, opts)
+	if err != nil {
+		return core.Outcome{Kind: core.OutError, Msg: err.Error()}, 0
+	}
+	out := env.RunInterp(fn, args)
+	return out, env.Steps
+}
+
+// runCounted runs one execution on an executor and returns the steps
+// and cycle cuts it added to the executor's metrics.
+func runCounted(ex *core.Executor, args []core.Value, o core.Oracle) (core.Outcome, uint64, uint64) {
+	m := ex.Metrics()
+	steps, cuts := m.Steps, m.CycleCuts
+	out := ex.Run(args, o)
+	return out, m.Steps - steps, m.CycleCuts - cuts
+}
+
 // diffOne sweeps all three engines through the full oracle enumeration
-// on one (function, input) and fails on the first divergence.
-func diffOne(t *testing.T, label string, fn *ir.Func, ex, exB *core.Executor, args []core.Value, opts core.Options) {
+// on one (function, input) and fails on the first divergence: outcome,
+// oracle enumeration, or per-execution step count. The two compiled
+// engines must also fast-forward exactly the same executions. It
+// returns how many executions they fast-forwarded.
+func diffOne(t *testing.T, label string, fn *ir.Func, ex, exB *core.Executor, args []core.Value, opts core.Options) (cuts uint64) {
 	t.Helper()
 	const maxChoices, maxFanout = 16, 1 << 8
 	oi := core.NewEnumOracle(maxChoices, maxFanout)
@@ -121,19 +144,28 @@ func diffOne(t *testing.T, label string, fn *ir.Func, ex, exB *core.Executor, ar
 			// Undef-heavy functions can have more resolutions than worth
 			// sweeping (refine stops here too, via MaxExecs); every
 			// execution so far was compared, which is the point.
-			return
+			return cuts
 		}
 		oi.Reset()
 		oc.Reset()
 		ob.Reset()
-		outI := core.Interpret(fn, args, oi, opts)
-		outC := ex.Run(args, oc)
-		outB := exB.Run(args, ob)
+		outI, stepsI := interpretSteps(fn, args, oi, opts)
+		outC, stepsC, cutC := runCounted(ex, args, oc)
+		outB, stepsB, cutB := runCounted(exB, args, ob)
 		ki, kc, kb := outcomeKey(outI), outcomeKey(outC), outcomeKey(outB)
 		if ki != kc || ki != kb {
 			t.Fatalf("%s: args %v exec %d:\ninterpreted: %s\ncompiled:    %s\nbytecode:    %s\n%s",
 				label, args, exec, ki, kc, kb, fn)
 		}
+		if uint64(stepsI) != stepsC || uint64(stepsI) != stepsB {
+			t.Fatalf("%s: args %v exec %d: steps diverge (interp %d, compiled %d, bytecode %d)\n%s",
+				label, args, exec, stepsI, stepsC, stepsB, fn)
+		}
+		if cutC != cutB {
+			t.Fatalf("%s: args %v exec %d: cycle cuts diverge (compiled %d, bytecode %d)\n%s",
+				label, args, exec, cutC, cutB, fn)
+		}
+		cuts += cutC
 		ni, nc, nb := oi.Next(), oc.Next(), ob.Next()
 		if ni != nc || ni != nb {
 			t.Fatalf("%s: args %v exec %d: oracle enumeration diverged (interp next=%t, compiled next=%t, bytecode next=%t) — the engines take different Choose sequences\n%s",
@@ -147,11 +179,13 @@ func diffOne(t *testing.T, label string, fn *ir.Func, ex, exB *core.Executor, ar
 		t.Fatalf("%s: args %v: overflow flags diverge (interp %t, compiled %t, bytecode %t)\n%s",
 			label, args, oi.Overflowed, oc.Overflowed, ob.Overflowed, fn)
 	}
+	return cuts
 }
 
 // diffFunc compiles fn once and lockstep-compares every input across
-// the interpreter, the closure engine, and the bytecode tier.
-func diffFunc(t *testing.T, label string, fn *ir.Func, opts core.Options) {
+// the interpreter, the closure engine, and the bytecode tier. It
+// returns how many executions the compiled engines fast-forwarded.
+func diffFunc(t *testing.T, label string, fn *ir.Func, opts core.Options) (cuts uint64) {
 	t.Helper()
 	prog := core.Compile(fn, opts)
 	ex := core.NewExecutor(prog)
@@ -159,7 +193,7 @@ func diffFunc(t *testing.T, label string, fn *ir.Func, opts core.Options) {
 	exB.SetTier(core.TierPolicy{Mode: core.TierBytecode})
 	first := true
 	for _, args := range paramInputs(fn, opts.Mode) {
-		diffOne(t, label, fn, ex, exB, args, opts)
+		cuts += diffOne(t, label, fn, ex, exB, args, opts)
 		if first {
 			// A silent fallback to the closure engine would make the
 			// three-way comparison vacuous; every test function must
@@ -170,16 +204,34 @@ func diffFunc(t *testing.T, label string, fn *ir.Func, opts core.Options) {
 			first = false
 		}
 	}
+	return cuts
 }
+
+// cutWant pins whether the compiled engines fast-forward a corpus
+// function's executions (see core.CycleDetector).
+type cutWant uint8
+
+const (
+	cutAny  cutWant = iota // not pinned
+	cutSome                // every variant fast-forwards some execution
+	cutNone                // no execution is ever fast-forwarded
+)
+
+// refineFuel is refine's default per-execution fuel, the budget the
+// campaigns' loops actually run against.
+const refineFuel = 4096
 
 // compiledCorpus is hand-written IR hitting the constructs the
 // exhaustive and random generators cannot produce: phis (including
 // swap patterns and poison incomings), loops, memory, gep, globals,
-// vectors, casts and calls.
+// vectors, casts and calls — and loops that never return, which the
+// compiled engines fast-forward once they provably cycle.
 var compiledCorpus = []struct {
 	name       string
 	src        string
-	legacyOnly bool // uses undef, which the freeze dialect rejects
+	legacyOnly bool    // uses undef, which the freeze dialect rejects
+	fuel       int     // per-execution fuel; 0 keeps the default
+	cuts       cutWant // fast-forwarding the function must show
 }{
 	{name: "phi-merge", src: `define i2 @f(i2 %a, i2 %b) {
 entry:
@@ -386,11 +438,117 @@ t:
 e:
   ret i2 3
 }`},
-	{name: "infinite-loop-fuel", src: `define void @f() {
+	{name: "infinite-loop-fuel", fuel: 500, cuts: cutSome, src: `define void @f() {
 entry:
   br label %loop
 loop:
   br label %loop
+}`},
+	// The mutate pattern: an undef read on every iteration keeps the
+	// oracle busy for 16 iterations (96 steps, past the detector's
+	// arming point) while the frame state already repeats; only once
+	// the oracle is settled may the loop be cut. The executions whose
+	// last choice is 1 leave the loop, so a detector that ignored
+	// unsettled choices would turn their return into a timeout.
+	{name: "undef-loop-settles", legacyOnly: true, fuel: refineFuel, cuts: cutSome, src: `define i8 @f() {
+entry:
+  br label %loop
+loop:
+  %n = phi i8 [ 0, %entry ], [ %n3, %loop ]
+  %u = icmp eq i1 undef, 1
+  %n1 = add i8 %n, 3
+  %n2 = mul i8 %n1, 0
+  %n3 = or i8 %n2, %n
+  %z = and i8 %n3, 0
+  br i1 %u, label %done, label %loop
+done:
+  ret i8 %n
+}`},
+	{name: "phi-rotate-3", fuel: refineFuel, cuts: cutSome, src: `define i2 @f(i2 %x) {
+entry:
+  br label %loop
+loop:
+  %a = phi i2 [ %x, %entry ], [ %b, %loop ]
+  %b = phi i2 [ 1, %entry ], [ %c, %loop ]
+  %c = phi i2 [ 2, %entry ], [ %a, %loop ]
+  %s = select i1 true, i2 %a, i2 %b
+  br label %loop
+}`},
+	// 200 iterations, 600 steps: long enough to arm the detector, and
+	// the counter never repeats, so it must run to its return.
+	{name: "counter-loop-returns", fuel: refineFuel, cuts: cutNone, src: `define i8 @f(i2 %n) {
+entry:
+  br label %loop
+loop:
+  %i = phi i8 [ 0, %entry ], [ %i1, %loop ]
+  %i1 = add i8 %i, 1
+  %c = icmp ult i8 %i1, 200
+  br i1 %c, label %loop, label %done
+done:
+  %z = zext i2 %n to i8
+  %r = add i8 %i1, %z
+  ret i8 %r
+}`},
+	// An i8 counter that wraps: period 256, found once Brent's snapshot
+	// interval reaches it.
+	{name: "counter-loop-wraps", fuel: refineFuel, cuts: cutSome, src: `define i8 @f() {
+entry:
+  br label %loop
+loop:
+  %i = phi i8 [ 0, %entry ], [ %i1, %loop ]
+  %i1 = add i8 %i, 1
+  %c = icmp ult i8 %i1, 0
+  br i1 %c, label %done, label %loop
+done:
+  ret i8 %i1
+}`},
+	{name: "loop-calls-helper", fuel: refineFuel, cuts: cutSome, src: `define i2 @h(i2 %x) {
+entry:
+  %y = xor i2 %x, 1
+  ret i2 %y
+}
+define void @f() {
+entry:
+  br label %loop
+loop:
+  %p = phi i2 [ 0, %entry ], [ %q, %loop ]
+  %q = call i2 @h(i2 %p)
+  br label %loop
+}`},
+	// Memory is not in the snapshot, so detection is off.
+	{name: "loop-stores-alloca", fuel: refineFuel, cuts: cutNone, src: `define void @f() {
+entry:
+  %p = alloca i8, i32 1
+  br label %loop
+loop:
+  store i8 1, ptr %p
+  br label %loop
+}`},
+	{name: "vector-phi-loop", fuel: refineFuel, cuts: cutSome, src: `define <2 x i2> @f(i2 %a) {
+entry:
+  %v0 = insertelement <2 x i2> <i2 0, i2 1>, i2 %a, i32 0
+  br label %loop
+loop:
+  %v = phi <2 x i2> [ %v0, %entry ], [ %w, %loop ]
+  %w = xor <2 x i2> %v, <i2 1, i2 1>
+  br label %loop
+}`},
+	// Until the exit only vector registers change (the scalars %b and
+	// %t are constant), so a detector that skipped vector registers
+	// would cut this terminating loop.
+	{name: "vector-counter-returns", fuel: refineFuel, cuts: cutNone, src: `define i8 @f() {
+entry:
+  br label %loop
+loop:
+  %v = phi <2 x i8> [ <i8 0, i8 0>, %entry ], [ %w, %loop ]
+  %w = add <2 x i8> %v, <i8 1, i8 0>
+  %c = icmp eq <2 x i8> %w, <i8 100, i8 0>
+  %b = bitcast <2 x i1> %c to i2
+  %t = icmp eq i2 %b, 3
+  br i1 %t, label %done, label %loop
+done:
+  %e = extractelement <2 x i8> %w, i32 0
+  ret i8 %e
 }`},
 }
 
@@ -411,10 +569,16 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 					continue
 				}
 				opts := v.opts
-				if tc.name == "infinite-loop-fuel" {
-					opts.Fuel = 500 // exercise identical fuel accounting
+				if tc.fuel != 0 {
+					opts.Fuel = tc.fuel
 				}
-				diffFunc(t, tc.name+"/"+v.name, fn, opts)
+				cuts := diffFunc(t, tc.name+"/"+v.name, fn, opts)
+				switch {
+				case tc.cuts == cutSome && cuts == 0:
+					t.Errorf("%s/%s: no execution was fast-forwarded", tc.name, v.name)
+				case tc.cuts == cutNone && cuts != 0:
+					t.Errorf("%s/%s: %d executions fast-forwarded, want none", tc.name, v.name, cuts)
+				}
 			}
 		}
 	})

@@ -119,6 +119,11 @@ type EngineMetrics struct {
 	ClosureExecs  uint64
 	BytecodeExecs uint64
 	Promotions    uint64
+
+	// CycleCuts counts executions a compiled engine ended early because
+	// their root activation provably cycles (see CycleDetector). Steps
+	// still includes the fuel such an execution would have burned.
+	CycleCuts uint64
 }
 
 // Add folds o into m.
@@ -131,6 +136,7 @@ func (m *EngineMetrics) Add(o EngineMetrics) {
 	m.ClosureExecs += o.ClosureExecs
 	m.BytecodeExecs += o.BytecodeExecs
 	m.Promotions += o.Promotions
+	m.CycleCuts += o.CycleCuts
 }
 
 // NewEnv prepares an execution environment: it allocates and

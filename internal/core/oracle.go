@@ -106,6 +106,16 @@ func (o *EnumOracle) Choose(n uint64) uint64 {
 	return 0
 }
 
+// Settled reports whether no further Choose of the current execution
+// can change the oracle: the execution has already overflowed, the
+// replay path is used up, and the path is at MaxChoices. In that state
+// Choose returns 0 and leaves every field as it was, so the rest of
+// the execution sees a constant oracle. The compiled engines' cycle
+// detector relies on this (see CycleDetector).
+func (o *EnumOracle) Settled() bool {
+	return o.Overflowed && o.pos >= len(o.path) && len(o.path) >= o.MaxChoices
+}
+
 // Next advances to the next choice sequence; it returns false when the
 // space is exhausted. Choice points beyond the position reached by the
 // last execution are discarded (they were never used).

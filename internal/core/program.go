@@ -958,7 +958,7 @@ func (p *Program) invoke(env *Env, args []Value) Outcome {
 	} else {
 		env.Metrics.FramesPooled++
 	}
-	out := p.execFrame(env, fr, args)
+	out := p.execFrame(env, fr, args, nil)
 	clear(fr.regs)
 	p.framePool.Put(fr)
 	env.depth--
@@ -966,8 +966,9 @@ func (p *Program) invoke(env *Env, args []Value) Outcome {
 }
 
 // execFrame is the dispatch loop: fuel is charged per step exactly as
-// the interpreter charges it per non-phi instruction.
-func (p *Program) execFrame(env *Env, fr *cframe, args []Value) Outcome {
+// the interpreter charges it per non-phi instruction. det is non-nil
+// only for a root activation that may be fast-forwarded when it cycles.
+func (p *Program) execFrame(env *Env, fr *cframe, args []Value, det *CycleDetector) Outcome {
 	regs := fr.regs
 	for i := range p.fn.Params {
 		regs[i] = args[i]
@@ -977,6 +978,12 @@ func (p *Program) execFrame(env *Env, fr *cframe, args []Value) Outcome {
 		b := &p.blocks[bi]
 		if b.preErr != nil {
 			return *b.preErr
+		}
+		if det != nil && env.Steps >= CycleArmSteps && det.Visit(&env.Oracle, bi, nil, regs) {
+			env.Steps += env.fuel
+			env.fuel = 0
+			env.Metrics.CycleCuts++
+			return Outcome{Kind: OutTimeout}
 		}
 		jumped := false
 		for _, step := range b.steps {
@@ -1039,6 +1046,8 @@ type Executor struct {
 	// goroutine, so the entry activation can skip the shared frame
 	// pool entirely (inner calls still use it).
 	fr *cframe
+	// cyc watches the entry activation for a state cycle.
+	cyc CycleDetector
 
 	// tier is the executor's tiering policy; runner is non-nil once
 	// this executor has switched to the tier-2 program.
@@ -1154,7 +1163,15 @@ func (e *Executor) Run(args []Value, o Oracle) Outcome {
 		e.fr = p.newFrame()
 		env.Metrics.FramesAllocated++
 	}
-	out := p.execFrame(env, e.fr, args)
+	// A memory-free entry activation is fast-forwarded once it provably
+	// cycles. Env.Run, the only traced path, never is: a trace must
+	// show every step.
+	var det *CycleDetector
+	if !p.needsMem {
+		det = &e.cyc
+		det.Reset()
+	}
+	out := p.execFrame(env, e.fr, args, det)
 	clear(e.fr.regs)
 	env.depth--
 	env.Metrics.Execs++

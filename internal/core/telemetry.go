@@ -23,6 +23,7 @@ func (m EngineMetrics) Publish(reg *telemetry.Registry, class telemetry.Class) {
 	reg.Counter("engine_execs_closure_total", class, "executions on the compile-once closure engine").Add(m.ClosureExecs)
 	reg.Counter("engine_execs_bytecode_total", class, "executions on the bytecode VM").Add(m.BytecodeExecs)
 	reg.Counter("engine_promotions_total", class, "programs promoted to the tier-2 backend").Add(m.Promotions)
+	reg.Counter("engine_cycle_cuts_total", class, "executions fast-forwarded to their timeout on a proven state cycle").Add(m.CycleCuts)
 	// Per-tier exec histograms: one observation per publish batch, so
 	// the distribution tracks batch sizes per tier (a zero batch still
 	// registers the series — dashboards want the tier visible at 0).

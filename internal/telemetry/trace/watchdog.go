@@ -100,7 +100,8 @@ func (w *Watchdog) Done(track int) {
 	w.stalled[track].Store(false)
 }
 
-// Stalls reports how many stall episodes fired.
+// Stalls reports how many stall episodes fired. An episode is counted
+// after its dump, snapshot and OnStall call have finished.
 func (w *Watchdog) Stalls() uint64 {
 	if w == nil {
 		return 0
@@ -145,8 +146,11 @@ func (w *Watchdog) check(now time.Time) {
 			continue
 		}
 		w.stalled[t].Store(true)
-		w.stalls.Add(1)
 		w.fire(t, age)
+		// Counted only once the episode's evidence is complete: a
+		// reader that sees the new count also sees the dump, the
+		// snapshot and everything OnStall stored.
+		w.stalls.Add(1)
 	}
 }
 
