@@ -21,11 +21,12 @@ test: vet
 race:
 	$(GO) test -race ./...
 
-# Micro-benchmarks for the fuzz-and-validate pipeline (E11) and the
-# execution engines (E12): refine.Check memo on/off, enumeration
-# serial vs sharded, campaign throughput, interpreted vs compiled.
+# Micro-benchmarks for the fuzz-and-validate pipeline (E11), the
+# execution engines (E12) and the VX64 simulator (E7): refine.Check
+# memo on/off, enumeration serial vs sharded, campaign throughput,
+# interpreted vs compiled, and ns per simulated instruction.
 bench:
-	$(GO) test -bench 'BenchmarkRefineCheck|BenchmarkExhaustive|BenchmarkCampaign|BenchmarkExecEngines' -benchtime 1x -run '^$$' ./internal/bench/
+	$(GO) test -bench 'BenchmarkRefineCheck|BenchmarkExhaustive|BenchmarkCampaign|BenchmarkExecEngines|BenchmarkSimulator' -benchtime 1x -run '^$$' ./internal/bench/
 
 check: build vet test race
 
@@ -38,6 +39,8 @@ check: build vet test race
 # three tiers and both worker counts (exits nonzero if any engine
 # row's behaviour hash diverges from the interpreted baseline; its
 # rows land in BENCH_exec.json for the workflow artifact), then the
+# §7 tables with E7's simulated run times (about 1.5 s; exits nonzero
+# if any program's checksum is a MISMATCH or a SIM ERROR), then the
 # quick E13 workload rows (exhaustive, mutate with the reducer, wide8:
 # about 15-25 s on 2 CPUs since the compiled engines fast-forward
 # provably cycling executions; before that the mutate row did not
@@ -72,6 +75,7 @@ ci: vet test
 	$(GO) test -race -run 'Memo|Compiled|ProgramShared|ExecTwins|Lowering|Fold|Superblock|TierPromotion' ./internal/refine ./internal/core ./internal/core/bytecode ./internal/bench
 	$(GO) test -race -run 'TelemetryRaceStress' ./internal/telemetry
 	$(GO) run ./cmd/tame-bench -exp exec -quick -json BENCH_exec.json
+	$(GO) run ./cmd/tame-bench -exp runtime -quick
 	$(GO) run ./cmd/tame-bench -exp workload -quick
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics - \
 	  | $(GO) run ./cmd/tame-metrics -check 'campaign_funcs_total,campaign_verified_total,check_checks_total,check_inputs_total,check_set_size,engine_steps_total,engine_execs_bytecode_total>0,engine_promotions_total>0,progcache_hits_total,memo_lookups_total,pool_tasks_total,pass_runs_total,opt_funcs_total,analysis_computes_total,span_wall_ns,verify_each_checks_total>0,verify_each_failures_total=0'

@@ -131,6 +131,13 @@ func main() {
 		}
 		bench.Report(os.Stdout, base, proto)
 		sp.End()
+		// A simulator error leaves ChecksumOK false too: every E7 row
+		// marked MISMATCH or SIM ERROR fails the run.
+		for _, m := range append(base, proto...) {
+			if !m.ChecksumOK {
+				fatal(fmt.Errorf("%s under %s: no correct checksum (see E7)", m.Program, m.Variant))
+			}
+		}
 	}
 
 	// E11 and E13 rows accumulate here and are written to -json once,

@@ -72,6 +72,7 @@ type Measurement struct {
 	Cycles      uint64
 	SimInstrs   uint64
 	Checksum    int32
+	Want        int32 // the program's reference checksum
 	ChecksumOK  bool
 	SimError    string
 }
@@ -97,7 +98,7 @@ func Measure(p Program, v Variant, reps int) (Measurement, error) {
 	if reps < 1 {
 		reps = 1
 	}
-	m := Measurement{Program: p.Name, Suite: p.Suite, Variant: v.Name}
+	m := Measurement{Program: p.Name, Suite: p.Suite, Variant: v.Name, Want: p.Want}
 
 	var mod *ir.Module
 	var prog *target.Program
@@ -226,7 +227,7 @@ func Report(w io.Writer, base, proto []Measurement) {
 			b := index[m.Program]
 			status := "ok"
 			if !m.ChecksumOK || !b.ChecksumOK {
-				status = fmt.Sprintf("MISMATCH base=%d proto=%d want=%d", b.Checksum, m.Checksum, m.Checksum)
+				status = fmt.Sprintf("MISMATCH base=%d proto=%d want=%d", b.Checksum, m.Checksum, m.Want)
 			}
 			if m.SimError != "" || b.SimError != "" {
 				status = "SIM ERROR " + m.SimError + b.SimError

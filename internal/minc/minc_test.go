@@ -301,6 +301,29 @@ int main() {
 	}
 }
 
+// Runaway recursion through calls that consume no simulated stack
+// (frame 0, no arguments) ends in a call-stack-overflow fault instead
+// of growing the simulator's host-side frames without bound.
+func TestRunawayRecursionFaults(t *testing.T) {
+	mod, err := CompileString(`int f() { return f(); } int main() { return f(); }`, freezeCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	passes.O2().Run(mod, passes.DefaultFreezeConfig())
+	prog, err := mi.CompileModule(mod)
+	if err != nil {
+		t.Fatalf("backend: %v\n%s", err, mod)
+	}
+	m := target.NewMachine(prog)
+	_, err = m.Run(prog.FuncByName("main"))
+	if err == nil || err.Error() != "vx64: call stack overflow in f" {
+		t.Fatalf("simulate: %v, want a call stack overflow in f", err)
+	}
+	if m.Instrs > 2*target.MaxCallDepth {
+		t.Errorf("faulted after %d instructions, want at most %d", m.Instrs, 2*target.MaxCallDepth)
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"int main( { return 0; }",
