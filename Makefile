@@ -68,8 +68,14 @@ check: build vet test race
 # The paper's §6 claim then runs as a standing check, ahead of the
 # cache, workload and trace gates: the -O2 passes survive exhaustive
 # refinement checking of every 2-instruction i2 freeze-dialect function
-# (250000 candidates, about 12 s on 2 CPUs), so campaign_refuted_total
-# must be exactly 0.
+# (250000 candidates, about 8 s on 2 CPUs), so campaign_refuted_total
+# must be exactly 0. The same run must keep the shared memo paying:
+# about half of its lookups hit (0.497 when this gate was set), so a
+# behaviour-set or key representation that silently stops hits fails
+# the memo_hits_total/memo_lookups_total>=0.45 floor.
+#
+# The tame-opt step runs with -time-passes so the span-based per-pass
+# timing path (the only per-pass clock) runs in CI too.
 ci: vet test
 	$(GO) test -race ./internal/passes ./internal/optfuzz
 	$(GO) test -race -run 'Memo|Compiled|ProgramShared|ExecTwins|Lowering|Fold|Superblock|TierPromotion' ./internal/refine ./internal/core ./internal/core/bytecode ./internal/bench
@@ -81,12 +87,12 @@ ci: vet test
 	  | $(GO) run ./cmd/tame-metrics -check 'campaign_funcs_total,campaign_verified_total,check_checks_total,check_inputs_total,check_set_size,engine_steps_total,engine_execs_bytecode_total>0,engine_promotions_total>0,progcache_hits_total,memo_lookups_total,pool_tasks_total,pass_runs_total,opt_funcs_total,analysis_computes_total,span_wall_ns,verify_each_checks_total>0,verify_each_failures_total=0'
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics metrics-snapshot.json
 	$(GO) run ./cmd/tame-lint -q internal/passes/testdata/freeze-elim-loop.ll
-	$(GO) run ./cmd/tame-opt -sem freeze -verify-each -metrics metrics-verify-each.txt internal/passes/testdata/freeze-elim-loop.ll > /dev/null
+	$(GO) run ./cmd/tame-opt -sem freeze -verify-each -time-passes -metrics metrics-verify-each.txt internal/passes/testdata/freeze-elim-loop.ll > /dev/null
 	$(GO) run ./cmd/tame-metrics -check 'analysis_poison_queries_total>0,passes_freeze_elim_removed_total>0,verify_each_checks_total>0,verify_each_failures_total=0' metrics-verify-each.txt
 	$(GO) run ./cmd/tame-fuzz -poison-oracle -instrs 1 -n 0 -sem freeze -workers 2 -metrics - \
 	  | $(GO) run ./cmd/tame-metrics -check 'poison_oracle_funcs_total>0,poison_oracle_claims_total>0,poison_oracle_execs_total>0,poison_oracle_violations_total=0'
 	$(GO) run ./cmd/tame-fuzz -validate -sem freeze -instrs 2 -n 250000 -workers 2 -metrics - \
-	  | $(GO) run ./cmd/tame-metrics -check 'campaign_refuted_total=0'
+	  | $(GO) run ./cmd/tame-metrics -check 'campaign_refuted_total=0,memo_hits_total/memo_lookups_total>=0.45'
 	$(MAKE) ci-cache
 	$(MAKE) ci-workload
 	$(MAKE) ci-trace

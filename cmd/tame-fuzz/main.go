@@ -225,6 +225,11 @@ func runCampaign(fl campaignFlags) {
 		}
 	}
 	pm.Instrument()
+	if fl.optStats {
+		// -stats reports per-pass wall time, which only the pass spans
+		// measure; the campaign times every shard's clone the same way.
+		pm.TimePasses()
+	}
 	// Clone preserves VerifyEach, so every per-shard pipeline copy runs
 	// the battery too.
 	pm.VerifyEach = fl.verifyEach

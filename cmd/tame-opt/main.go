@@ -84,6 +84,9 @@ func main() {
 		// land in the snapshot even without -stats.
 		pm.Instrument()
 	}
+	if *timePasses {
+		pm.TimePasses() // per-pass spans: the only per-pass clock
+	}
 	if *printChanged {
 		pm.PrintChanged = os.Stderr
 	}

@@ -237,15 +237,13 @@ func digestBehaviorSet(set refine.BehaviorSet) uint64 {
 		flags |= 16
 	}
 	var rets uint64
-	for k := range set.Rets {
-		rets ^= fnvString(k)
-	}
+	set.Rets.Each(func(k string) { rets ^= fnvString(k) })
 	d := uint64(fnvOffset64)
 	d ^= flags
 	d *= fnvPrime64
 	d ^= rets
 	d *= fnvPrime64
-	d ^= uint64(len(set.Rets))
+	d ^= uint64(set.Rets.Len())
 	d *= fnvPrime64
 	return d
 }

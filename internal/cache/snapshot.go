@@ -34,8 +34,9 @@ import (
 
 // FormatVersion is the snapshot encoding version. Bump on any change
 // to the header or payload shapes; old files are then rejected as
-// stale rather than misread.
-const FormatVersion = 1
+// stale rather than misread. Version 2: memo behaviour sets carry
+// packed return sets as a type and a mask.
+const FormatVersion = 2
 
 // snapshotMagic guards against feeding arbitrary files to the decoder.
 const snapshotMagic = "tameir-cache"

@@ -110,10 +110,7 @@ func (r *Runner) Run(args []core.Value, o core.Oracle, m *core.EngineMetrics) co
 	m.BytecodeExecs++
 	m.Steps += uint64(r.steps)
 	// Outgoing lanes may be carved from the arena, which the next Run
-	// resets; give them their own backing.
-	if out.Val.Lanes != nil {
-		out.Val.Lanes = append([]core.Scalar(nil), out.Val.Lanes...)
-	}
+	// resets; the caller copies them if it keeps them.
 	return out
 }
 

@@ -79,9 +79,10 @@ type Env struct {
 	// params into its registers, so one buffer per env serves every
 	// call site at every depth.
 	callBuf []Value
-	// retOut is the compiled ret step's outcome scratch: execFrame
-	// copies the pointed-to Outcome out by value before any other step
-	// can run, so one slot per env serves every ret at every depth.
+	// retOut is the compiled ret and UB steps' outcome scratch:
+	// execFrame copies the pointed-to Outcome out by value before any
+	// other step can run, so one slot per env serves every such step at
+	// every depth.
 	retOut Outcome
 	// Steps counts executed instructions (exposed for the evaluation
 	// harness's "run time" proxy when not using the VX64 simulator).
@@ -198,7 +199,7 @@ func (env *Env) Run(fn *ir.Func, args []Value) Outcome {
 	p := sharedPrograms.getVerified(fn, opts)
 	if env.Tier.Mode != TierClosure && env.Trace == nil {
 		if r := env.tierRunnerFor(p); r != nil {
-			return r.Run(args, env.Oracle, &env.Metrics)
+			return ownLanes(r.Run(args, env.Oracle, &env.Metrics))
 		}
 	}
 	if out := p.checkArgs(args); out != nil {
@@ -445,6 +446,13 @@ func (env *Env) strictOperand(fr *frame, v ir.Value) (Value, *Outcome) {
 }
 
 func ubOut(msg string) *Outcome { return &Outcome{Kind: OutUB, Msg: msg} }
+
+// ubOut is the compiled engine's UB outcome, in the env's outcome
+// scratch (see retOut) rather than a fresh allocation.
+func (env *Env) ubOut(msg string) *Outcome {
+	env.retOut = Outcome{Kind: OutUB, Msg: msg}
+	return &env.retOut
+}
 
 func (env *Env) evalBr(fr *frame, in *ir.Instr) (*ir.Block, *Outcome) {
 	if !in.IsConditionalBr() {

@@ -527,7 +527,7 @@ func (c *compiler) compileInstr(b *ir.Block, in *ir.Instr) stepFn {
 			switch s.Kind {
 			case PoisonVal:
 				if bp == BranchPoisonIsUB {
-					return 0, ubOut("branch on poison")
+					return 0, env.ubOut("branch on poison")
 				}
 				s = C(env.Oracle.Choose(2))
 			case UndefVal:
@@ -646,7 +646,7 @@ func (c *compiler) compileEval(in *ir.Instr) evalFn {
 			for i := range lanes {
 				s, ub := EvalBinopLane(op, attrs, w, xv.Lanes[i], yv.Lanes[i], mode)
 				if ub != "" {
-					return Value{}, ubOut(ub)
+					return Value{}, env.ubOut(ub)
 				}
 				lanes[i] = s
 			}
@@ -720,11 +720,11 @@ func (c *compiler) compileEval(in *ir.Instr) evalFn {
 			}
 			ps := p.Scalar()
 			if ps.Kind == PoisonVal {
-				return Value{}, ubOut("load from poison address")
+				return Value{}, env.ubOut("load from poison address")
 			}
 			bits, err := env.Mem.Load(uint32(ps.Bits), sz)
 			if err != nil {
-				return Value{}, ubOut(err.Error())
+				return Value{}, env.ubOut(err.Error())
 			}
 			return Raise(ty, bits, env.Oracle), nil
 		}
@@ -744,10 +744,10 @@ func (c *compiler) compileEval(in *ir.Instr) evalFn {
 			}
 			ps := p.Scalar()
 			if ps.Kind == PoisonVal {
-				return Value{}, ubOut("store to poison address")
+				return Value{}, env.ubOut("store to poison address")
 			}
 			if err := env.Mem.Store(uint32(ps.Bits), Lower(v)); err != nil {
-				return Value{}, ubOut(err.Error())
+				return Value{}, env.ubOut(err.Error())
 			}
 			return Value{Ty: ir.Void}, nil
 		}
@@ -880,7 +880,7 @@ func (c *compiler) compileSelect(in *ir.Instr) evalFn {
 			case PoisonVal:
 				switch spc {
 				case SelectPoisonCondUB:
-					return Value{}, ubOut("select on poison condition")
+					return Value{}, env.ubOut("select on poison condition")
 				case SelectPoisonCondNondet:
 					s = C(env.Oracle.Choose(2))
 				default:
@@ -918,7 +918,7 @@ func (c *compiler) compileSelect(in *ir.Instr) evalFn {
 			case PoisonVal:
 				switch spc {
 				case SelectPoisonCondUB:
-					return Value{}, ubOut("select on poison condition")
+					return Value{}, env.ubOut("select on poison condition")
 				case SelectPoisonCondNondet:
 					cl = C(env.Oracle.Choose(2))
 				default:
@@ -1124,6 +1124,15 @@ func NewExecutor(p *Program) *Executor {
 
 // Run executes the program on args, resolving nondeterminism through o.
 func (e *Executor) Run(args []Value, o Oracle) Outcome {
+	return ownLanes(e.RunScratch(args, o))
+}
+
+// RunScratch is Run without the copy of the returned value: the
+// outcome's lanes may be carved from the executor's scratch and are
+// valid only until its next run. Sweeps that consume each outcome
+// before the next execution (refine's behaviour enumeration) use it to
+// run allocation-free.
+func (e *Executor) RunScratch(args []Value, o Oracle) Outcome {
 	p := e.prog
 	if e.tier.Mode != TierClosure {
 		if e.runner == nil {
@@ -1177,8 +1186,12 @@ func (e *Executor) Run(args []Value, o Oracle) Outcome {
 	env.Metrics.Execs++
 	env.Metrics.ClosureExecs++
 	env.Metrics.Steps += uint64(env.Steps)
-	// The outcome may carry lanes carved from the arena, which the next
-	// Run resets; give it its own backing so callers can keep it.
+	return out
+}
+
+// ownLanes gives an outcome's lanes their own backing: they may be
+// carved from an engine arena that the next run resets.
+func ownLanes(out Outcome) Outcome {
 	if out.Val.Lanes != nil {
 		out.Val.Lanes = append([]Scalar(nil), out.Val.Lanes...)
 	}

@@ -86,7 +86,9 @@ type TierRunner interface {
 	// o. It must produce an Outcome identical to Executor.Run on the
 	// closure engine — same UB messages, same Oracle.Choose sequence,
 	// same fuel accounting — and update m exactly as the closure
-	// engine would (plus its own per-tier exec counter).
+	// engine would (plus its own per-tier exec counter). The outcome's
+	// lanes may alias the runner's scratch and need only stay valid
+	// until its next Run; callers that keep them copy them.
 	Run(args []Value, o Oracle, m *EngineMetrics) Outcome
 }
 

@@ -23,7 +23,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"tameir/internal/ir"
 )
@@ -167,35 +166,37 @@ func (v Value) Equal(w Value) bool {
 }
 
 // String renders the value for diagnostics, e.g. "i32 7",
-// "<2 x i8> <3, poison>". It doubles as the behaviour-set key, so it
-// is on the validator's hot path and avoids the fmt machinery.
+// "<2 x i8> <3, poison>". It doubles as the behaviour-set key.
 func (v Value) String() string {
-	var b strings.Builder
-	writeLane := func(s Scalar) {
+	var buf [24]byte
+	return string(v.AppendKey(buf[:0]))
+}
+
+// AppendKey appends v's String rendering to b. Behaviour sweeps render
+// wide return values into a reused buffer through it, so a repeated
+// value costs no allocation.
+func (v Value) AppendKey(b []byte) []byte {
+	appendLane := func(b []byte, s Scalar) []byte {
 		switch s.Kind {
 		case PoisonVal:
-			b.WriteString("poison")
+			return append(b, "poison"...)
 		case UndefVal:
-			b.WriteString("undef")
-		default:
-			b.WriteString(strconv.FormatUint(s.Bits, 10))
+			return append(b, "undef"...)
 		}
+		return strconv.AppendUint(b, s.Bits, 10)
 	}
-	b.WriteString(v.Ty.String())
-	b.WriteByte(' ')
+	b = append(v.Ty.AppendTo(b), ' ')
 	if len(v.Lanes) == 1 {
-		writeLane(v.Lanes[0])
-		return b.String()
+		return appendLane(b, v.Lanes[0])
 	}
-	b.WriteByte('<')
+	b = append(b, '<')
 	for i, l := range v.Lanes {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		writeLane(l)
+		b = appendLane(b, l)
 	}
-	b.WriteByte('>')
-	return b.String()
+	return append(b, '>')
 }
 
 // Key returns a comparable key for use in behaviour sets.

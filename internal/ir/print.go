@@ -234,6 +234,9 @@ func appendIdent(b []byte, v Value) []byte {
 	return append(b, v.Ident()...)
 }
 
+// AppendTo appends t's String rendering to b.
+func (t Type) AppendTo(b []byte) []byte { return appendType(b, t) }
+
 // appendType appends t.String(), which spells every kind but vectors
 // without allocating; vectors are rendered here, where their element
 // types can be appended in place.

@@ -90,6 +90,8 @@ type Campaign struct {
 	// pass manager, so findings carry the names of the passes that
 	// fired (Finding.ChangedBy) and, when the manager is instrumented,
 	// per-shard Stats merge deterministically into the campaign's Opt.
+	// A timed manager (PassManager.TimePasses) times every clone into
+	// its own Stats, so Opt reports per-pass wall time too.
 	Pipeline *passes.PassManager
 
 	// PipelineCfg is the pass configuration for Pipeline. Required when
@@ -855,7 +857,17 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 		}
 	case c.Pipeline != nil:
 		pm = c.Pipeline.Clone() // private per-shard stats, shared pass list
-		pm.Trace = passScope    // per-pass spans ("pass/<name>") on this shard's track
+		// Per-pass spans ("pass/<name>") on this shard's track. A timed
+		// pipeline (PassManager.TimePasses), or an instrumented one in a
+		// phase-traced campaign, records them into the shard's own
+		// Stats, so the merged Stats reports them and publish carries
+		// them into Telemetry.
+		if pm.Stats != nil && (c.Pipeline.Trace != nil || passScope != nil) {
+			pm.TimePasses()
+			pm.Trace = pm.Trace.WithTrace(c.Trace, s)
+		} else {
+			pm.Trace = passScope
+		}
 		transforms = []shardTransform{{fn: func(f *ir.Func) []string {
 			_, fired := pm.RunFuncChanged(f, c.PipelineCfg)
 			return fired
@@ -879,8 +891,9 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 	userHook := rcfg.BehaviorHook
 	var digest uint64
 	if evolving != nil {
+		var render []byte
 		rcfg.BehaviorHook = func(b refine.BehaviorSet) {
-			digest = behaviorDigest(digest, b)
+			digest = behaviorDigest(digest, b, &render)
 			if userHook != nil {
 				userHook(b)
 			}

@@ -107,14 +107,16 @@ type CorpusReporter interface {
 }
 
 // behaviorDigest folds one behaviour set into an FNV-1a accumulator.
-// The canonical String rendering is deterministic (rets are sorted),
-// so the fold is too.
-func behaviorDigest(acc uint64, b refine.BehaviorSet) uint64 {
+// The fold reads the bytes of the set's canonical String rendering,
+// which is deterministic (rets are sorted), so the fold is too. The
+// rendering goes through *buf, which is reused from set to set.
+func behaviorDigest(acc uint64, b refine.BehaviorSet, buf *[]byte) uint64 {
 	const prime64 = 1099511628211
 	if acc == 0 {
 		acc = 14695981039346656037 // FNV offset basis
 	}
-	for _, c := range []byte(b.String()) {
+	*buf = b.AppendTo((*buf)[:0])
+	for _, c := range *buf {
 		acc ^= uint64(c)
 		acc *= prime64
 	}

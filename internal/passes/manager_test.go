@@ -165,6 +165,62 @@ func TestStatsReports(t *testing.T) {
 	}
 }
 
+// TestPassTimingFromSpans: per-pass wall time comes only from the
+// pass spans. An instrumented manager without a pass scope reads no
+// clock and reports zero; under TimePasses the -time-passes report
+// lists a nonzero time for every pass that ran, and the time survives
+// a Merge.
+func TestPassTimingFromSpans(t *testing.T) {
+	cfg := passes.DefaultFreezeConfig()
+	funcs := corpus(t, 1, 40)
+
+	untimed := passes.O2().Instrument()
+	for _, f := range funcs {
+		untimed.RunFunc(ir.CloneFunc(f), cfg)
+	}
+	for _, ps := range untimed.Stats.PassStats() {
+		if ps.Wall != 0 {
+			t.Errorf("%s: wall %v without a pass scope", ps.Name, ps.Wall)
+		}
+	}
+	var expo strings.Builder
+	if err := untimed.Stats.Registry().Snapshot().WriteText(&expo); err != nil {
+		t.Fatal(err)
+	}
+	if got := expo.String(); strings.Contains(got, "span_wall_ns") || strings.Contains(got, "pass_wall_ns") {
+		t.Errorf("untimed manager registered a timing series:\n%s", got)
+	}
+
+	timed := passes.O2().TimePasses()
+	for _, f := range funcs {
+		timed.RunFunc(ir.CloneFunc(f), cfg)
+	}
+	merged := passes.NewStats()
+	merged.Merge(timed.Stats)
+	for _, st := range []*passes.Stats{timed.Stats, merged} {
+		var rep strings.Builder
+		st.ReportTime(&rep)
+		lines := strings.Split(rep.String(), "\n")
+		for _, ps := range st.PassStats() {
+			if ps.Runs == 0 {
+				continue
+			}
+			if ps.Wall <= 0 {
+				t.Errorf("%s ran %d times with no span time", ps.Name, ps.Runs)
+			}
+			found := false
+			for _, l := range lines {
+				if f := strings.Fields(l); len(f) == 3 && f[2] == ps.Name {
+					found = f[0] != "0s"
+				}
+			}
+			if !found {
+				t.Errorf("-time-passes report lacks a nonzero time for %s:\n%s", ps.Name, rep.String())
+			}
+		}
+	}
+}
+
 // TestStatsMerge: merging shard collectors adds counters and keeps
 // pipeline order.
 func TestStatsMerge(t *testing.T) {

@@ -17,13 +17,13 @@
 // preserved-analyses set) and run through a PassManager that caches
 // CFG/domtree/loopinfo per function in an analysis.Manager, invalidating
 // only what each pass's preserved-set doesn't cover, and optionally
-// records per-pass wall time and change counts into a Stats struct.
+// records per-pass change counts into a Stats struct and per-pass wall
+// time into "pass/<name>" spans (PassManager.TimePasses).
 package passes
 
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"tameir/internal/analysis"
 	"tameir/internal/core"
@@ -151,8 +151,9 @@ type PassManager struct {
 	// reproducing the historical recompute-per-pass behaviour. Exists
 	// for the cached-vs-uncached benchmark, not for production use.
 	NoAnalysisCache bool
-	// Stats, when non-nil, accumulates per-pass wall time, change
-	// counts, instruction deltas, and analysis cache counters.
+	// Stats, when non-nil, accumulates per-pass change counts,
+	// instruction deltas, and analysis cache counters, and per-pass
+	// wall time when Trace is its PassScope (TimePasses).
 	Stats *Stats
 	// PrintChanged, when non-nil, receives an IR dump after every pass
 	// that reports a change.
@@ -168,9 +169,9 @@ type PassManager struct {
 	VerifyEach bool
 	// Trace, when non-nil, records one span per pass step (named
 	// "<scope path>/<pass name>") — with a traced scope that lands
-	// every step in the flight recorder's timeline. Campaigns set it
-	// on their per-shard clone; it costs one clock read per step, the
-	// same as Stats.
+	// every step in the flight recorder's timeline. It is the only
+	// clock the manager reads: two reads per step when set, none when
+	// nil. Campaigns set it on their per-shard clone.
 	Trace *telemetry.Scope
 }
 
@@ -194,9 +195,23 @@ func (pm *PassManager) Instrument() *PassManager {
 	return pm
 }
 
+// TimePasses instruments pm (unless it already is) and sets its Trace
+// to the collector's PassScope, so every step records a "pass/<name>"
+// span into pm.Stats: the per-pass wall time PassStats and ReportTime
+// report.
+func (pm *PassManager) TimePasses() *PassManager {
+	if pm.Stats == nil {
+		pm.Stats = NewStats()
+	}
+	pm.Trace = pm.Stats.PassScope()
+	return pm
+}
+
 // Clone returns a copy of pm with its own Stats collector (when
-// instrumented), sharing the stateless pass list. The parallel campaign
-// clones the manager per shard so workers never share counters.
+// instrumented), sharing the stateless pass list and Trace. The
+// parallel campaign clones the manager per shard so workers never
+// share counters; to time a clone into its own collector, call
+// TimePasses on it.
 func (pm *PassManager) Clone() *PassManager {
 	c := *pm
 	if pm.Stats != nil {
@@ -244,8 +259,8 @@ func (pm *PassManager) runFixpoint(f *ir.Func, cfg *Config, fired *[]string) boo
 	for i := 0; i < iters; i++ {
 		rounds++
 		changed := false
-		for _, p := range pm.Passes {
-			if pm.runStep(p, f, cfg, am) {
+		for k, p := range pm.Passes {
+			if pm.runStep(k, p, f, cfg, am) {
 				changed = true
 				any = true
 				if fired != nil && !contains(*fired, p.Name()) {
@@ -274,9 +289,9 @@ func (pm *PassManager) RunOnce(m *ir.Module, cfg *Config) bool {
 		ams[f] = analysis.NewManager(f)
 	}
 	changed := false
-	for _, p := range pm.Passes {
+	for k, p := range pm.Passes {
 		for _, f := range m.Funcs {
-			if pm.runStep(p, f, cfg, ams[f]) {
+			if pm.runStep(k, p, f, cfg, ams[f]) {
 				changed = true
 			}
 		}
@@ -290,21 +305,20 @@ func (pm *PassManager) RunOnce(m *ir.Module, cfg *Config) bool {
 	return changed
 }
 
-// runStep runs one pass over one function: time it, run it, verify,
-// dump if changed, and evict whatever the pass's preserved-set doesn't
-// cover from the analysis cache.
-func (pm *PassManager) runStep(p Pass, f *ir.Func, cfg *Config, am *AnalysisManager) bool {
+// runStep runs the pass at pipeline position k over one function: run
+// it inside its span, count it, verify, dump if changed, and evict
+// whatever the pass's preserved-set doesn't cover from the analysis
+// cache.
+func (pm *PassManager) runStep(k int, p Pass, f *ir.Func, cfg *Config, am *AnalysisManager) bool {
 	var before int
-	var start time.Time
 	if pm.Stats != nil {
 		before = f.NumInstrs()
-		start = time.Now()
 	}
 	sp := pm.Trace.Start(p.Name())
 	changed := p.Run(f, cfg, am)
 	sp.End()
 	if pm.Stats != nil {
-		pm.Stats.record(p.Name(), changed, time.Since(start), before-f.NumInstrs())
+		pm.Stats.record(pm.Stats.at(k, p.Name()), changed, before-f.NumInstrs())
 	}
 	if cfg.VerifyAfterEach && !pm.VerifyEach {
 		verifyAfter(p.Name(), f, cfg)

@@ -16,25 +16,30 @@ type PassStat struct {
 	Name    string
 	Runs    int
 	Changed int
-	Wall    time.Duration
+	// Wall is the total of the pass's "pass/<name>" spans: zero unless
+	// the manager ran with its Stats' pass scope (TimePasses).
+	Wall time.Duration
 	// InstrsRemoved is the net instruction-count reduction attributed
 	// to the pass (negative when the pass grows functions, as the
 	// inliner does).
 	InstrsRemoved int
 }
 
-// Stats accumulates pass-manager instrumentation: per-pass timing and
-// change counts, fixpoint behaviour, and analysis-cache counters. One
-// Stats belongs to one PassManager; merge per-shard collectors with
-// Merge (deterministic given deterministic merge order).
+// Stats accumulates pass-manager instrumentation: per-pass change
+// counts, fixpoint behaviour, and analysis-cache counters. One Stats
+// belongs to one PassManager; merge per-shard collectors with Merge
+// (deterministic given deterministic merge order).
 //
-// Since the telemetry PR the collector is a view over a
-// telemetry.Registry: every count lives in a named registry metric
-// (pass_runs_total{pass=...}, opt_funcs_total, analysis_hits_total,
-// ...) and the historical accessors read them back. Report/ReportTime
-// output is byte-identical to the pre-registry collector; Registry()
-// exposes the backing store so campaigns fold pass counters into their
-// campaign-wide snapshot with one Merge.
+// The collector is a view over a telemetry.Registry: every count lives
+// in a named registry metric (pass_runs_total{pass=...},
+// opt_funcs_total, analysis_hits_total, ...) and the accessors read
+// them back. Registry() exposes the backing store so campaigns fold
+// pass counters into their campaign-wide snapshot with one Merge.
+//
+// Per-pass wall time has one source, the "pass/<name>" spans: a
+// manager whose Trace is the collector's PassScope (TimePasses) records
+// them into this registry, and PassStats/ReportTime read them back.
+// Without that scope no step reads a clock.
 type Stats struct {
 	reg *telemetry.Registry
 
@@ -50,15 +55,16 @@ type Stats struct {
 	freezeRemoved  telemetry.Counter
 
 	byName map[string]*passHandles
-	order  []string // first-recorded order: matches pipeline position
+	order  []string       // first-recorded order: matches pipeline position
+	pos    []*passHandles // handles by pipeline position; see at
 }
 
 // passHandles caches one pass's resolved registry instruments so the
-// per-step hot path is four atomic adds, no name formatting.
+// per-step hot path is a few atomic adds, no name formatting.
 type passHandles struct {
+	name    string
 	runs    telemetry.Counter
 	changed telemetry.Counter
-	wall    telemetry.Counter
 	removed telemetry.Gauge
 }
 
@@ -83,19 +89,27 @@ func NewStats() *Stats {
 	}
 }
 
+// passScopeName roots the spans that time each pass: "pass/<name>".
+const passScopeName = "pass"
+
+// PassScope returns a span scope over the collector's registry whose
+// "pass/<name>" spans are its per-pass wall time (see
+// PassManager.TimePasses).
+func (s *Stats) PassScope() *telemetry.Scope { return telemetry.NewScope(s.reg, passScopeName) }
+
 // Registry exposes the backing metric store (never nil).
 func (s *Stats) Registry() *telemetry.Registry { return s.reg }
 
 // handles returns the registry instruments for one pass name,
 // registering them on first use. Per-pass run/changed/Δinstr counts
-// are pure functions of the shard partition; wall time never is.
+// are pure functions of the shard partition.
 func (s *Stats) handles(name string) *passHandles {
 	h := s.byName[name]
 	if h == nil {
 		h = &passHandles{
+			name:    name,
 			runs:    s.reg.Counter(telemetry.L("pass_runs_total", "pass", name), telemetry.Deterministic, "pass executions"),
 			changed: s.reg.Counter(telemetry.L("pass_changed_total", "pass", name), telemetry.Deterministic, "pass executions that changed the function"),
-			wall:    s.reg.Counter(telemetry.L("pass_wall_ns_total", "pass", name), telemetry.Scheduling, "pass wall time in nanoseconds"),
 			removed: s.reg.Gauge(telemetry.L("pass_instrs_removed", "pass", name), telemetry.Deterministic, "net instructions removed"),
 		}
 		s.byName[name] = h
@@ -104,16 +118,30 @@ func (s *Stats) handles(name string) *passHandles {
 	return h
 }
 
-func (s *Stats) record(name string, changed bool, wall time.Duration, instrDelta int) {
-	h := s.handles(name)
+// at returns the handles of the pass at pipeline position i, resolving
+// them by name only the first time a position is seen (or when a
+// different pipeline reuses the collector).
+func (s *Stats) at(i int, name string) *passHandles {
+	if i < len(s.pos) {
+		if h := s.pos[i]; h != nil && h.name == name {
+			return h
+		}
+	}
+	for len(s.pos) <= i {
+		s.pos = append(s.pos, nil)
+	}
+	s.pos[i] = s.handles(name)
+	return s.pos[i]
+}
+
+func (s *Stats) record(h *passHandles, changed bool, instrDelta int) {
 	h.runs.Inc()
-	h.wall.Add(uint64(wall))
 	if changed {
 		h.changed.Inc()
 		h.removed.Add(int64(instrDelta))
 		// freeze-elim only ever deletes freezes, so its instruction
 		// delta IS the number of freezes removed.
-		if name == "freeze-elim" && instrDelta > 0 {
+		if h.name == "freeze-elim" && instrDelta > 0 {
 			s.freezeRemoved.Add(uint64(instrDelta))
 		}
 	}
@@ -169,7 +197,7 @@ func (s *Stats) PassStats() []PassStat {
 			Name:          n,
 			Runs:          int(h.runs.Value()),
 			Changed:       int(h.changed.Value()),
-			Wall:          time.Duration(h.wall.Value()),
+			Wall:          time.Duration(s.reg.FindHistogram(telemetry.SpanSeries(passScopeName + "/" + n)).Sum()),
 			InstrsRemoved: int(h.removed.Value()),
 		})
 	}
@@ -192,7 +220,9 @@ func (s *Stats) Merge(o *Stats) {
 }
 
 // ReportTime writes an LLVM -time-passes-style table: per-pass wall
-// time, sorted descending, with the share of total pass time.
+// time from the "pass/<name>" spans, sorted descending, with the share
+// of total pass time. The times are zero unless the manager ran under
+// TimePasses.
 func (s *Stats) ReportTime(w io.Writer) {
 	stats := s.PassStats()
 	sort.SliceStable(stats, func(i, j int) bool { return stats[i].Wall > stats[j].Wall })

@@ -2,6 +2,8 @@ package refine
 
 import (
 	"sort"
+
+	"tameir/internal/ir"
 )
 
 // Memo persistence: Snapshot serializes a memo's behaviour sets,
@@ -48,36 +50,52 @@ type ArgSetSnapshot struct {
 	Set BehaviorSetSnapshot
 }
 
-// BehaviorSetSnapshot is a BehaviorSet with the Rets map flattened to
-// a sorted slice, for deterministic encoding. Incomplete sets are
-// never cached, so the field has no snapshot counterpart.
+// BehaviorSetSnapshot is a BehaviorSet in a deterministic encoding: a
+// packed return set as its type and mask, a keyed one as its sorted
+// keys. Incomplete sets are never cached, so the field has no snapshot
+// counterpart.
 type BehaviorSetSnapshot struct {
 	UB, Poison, Undef, Void bool
-	RetBits                 uint
-	Rets                    []string
+	RetBits                 uint8
+	// Packed is the return type of a packed set ("" for a keyed one)
+	// and Mask its members.
+	Packed string
+	Mask   uint64
+	Rets   []string
 }
 
 func snapshotSet(b BehaviorSet) BehaviorSetSnapshot {
 	s := BehaviorSetSnapshot{UB: b.UB, Poison: b.Poison, Undef: b.Undef, Void: b.Void, RetBits: b.RetBits}
-	if len(b.Rets) > 0 {
-		s.Rets = make([]string, 0, len(b.Rets))
-		for k := range b.Rets {
-			s.Rets = append(s.Rets, k)
-		}
-		sort.Strings(s.Rets)
+	if d := b.Rets.dom; d != nil {
+		s.Packed, s.Mask = d.ty.String(), b.Rets.mask
+	} else if b.Rets.Len() > 0 {
+		s.Rets = b.Rets.Keys()
 	}
 	return s
 }
 
-func (s BehaviorSetSnapshot) restore() BehaviorSet {
+// restore rebuilds the set, reporting false for a packed set whose type
+// or mask no packed domain admits: file contents are never trusted
+// blindly.
+func (s BehaviorSetSnapshot) restore() (BehaviorSet, bool) {
 	b := BehaviorSet{UB: s.UB, Poison: s.Poison, Undef: s.Undef, Void: s.Void, RetBits: s.RetBits}
-	if len(s.Rets) > 0 {
-		b.Rets = make(map[string]bool, len(s.Rets))
+	if s.Packed != "" {
+		ty, err := ir.ParseType(s.Packed)
+		if err != nil {
+			return b, false
+		}
+		d := packedDomain(ty)
+		if d == nil || s.Mask&^d.full() != 0 || len(s.Rets) > 0 {
+			return b, false
+		}
+		b.Rets = RetSet{dom: d, mask: s.Mask}
+	} else if len(s.Rets) > 0 {
+		b.Rets.keys = make(map[string]bool, len(s.Rets))
 		for _, k := range s.Rets {
-			b.Rets[k] = true
+			b.Rets.keys[k] = true
 		}
 	}
-	return b
+	return b, true
 }
 
 // Snapshot captures every cached behaviour set. Safe to call
@@ -122,12 +140,14 @@ func (m *Memo) LoadSnapshot(snap *MemoSnapshot) int {
 		for _, o := range ent.Ordinals {
 			// A negative ordinal would address the string level:
 			// never trust file contents blindly.
-			if o.Ordinal >= 0 && e.put(memoRef{ordinal: o.Ordinal}, memoSet{set: o.Set.restore(), disk: true}) {
+			set, ok := o.Set.restore()
+			if ok && o.Ordinal >= 0 && e.put(memoRef{ordinal: o.Ordinal}, memoSet{set: set, disk: true}) {
 				n++
 			}
 		}
 		for _, a := range ent.Args {
-			if e.put(memoRef{argsKey: a.Key, ordinal: -1}, memoSet{set: a.Set.restore(), disk: true}) {
+			set, ok := a.Set.restore()
+			if ok && e.put(memoRef{argsKey: a.Key, ordinal: -1}, memoSet{set: set, disk: true}) {
 				n++
 			}
 		}
@@ -165,7 +185,7 @@ func memoSnapshotEqual(a, b *MemoSnapshot) bool {
 
 func setSnapshotEqual(a, b BehaviorSetSnapshot) bool {
 	if a.UB != b.UB || a.Poison != b.Poison || a.Undef != b.Undef || a.Void != b.Void ||
-		a.RetBits != b.RetBits || len(a.Rets) != len(b.Rets) {
+		a.RetBits != b.RetBits || a.Packed != b.Packed || a.Mask != b.Mask || len(a.Rets) != len(b.Rets) {
 		return false
 	}
 	for i := range a.Rets {

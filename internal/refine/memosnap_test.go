@@ -102,3 +102,83 @@ func TestMemoSnapshotLoadDoesNotOverwrite(t *testing.T) {
 		t.Fatal("self-reload changed contents")
 	}
 }
+
+// Packed and keyed behaviour sets both survive the snapshot round
+// trip, as the same representation rendering the same set, and a
+// packed record no domain admits is refused.
+func TestMemoSnapshotRoundTripBothRepresentations(t *testing.T) {
+	opts := core.FreezeOptions()
+	cfg := DefaultConfig(opts, opts)
+	cfg.Memo = NewMemo(0)
+	for _, src := range []string{`define i2 @p(i2 %x) {
+entry:
+  %a = freeze i2 %x
+  ret i2 %a
+}`, `define <2 x i3> @v(<2 x i3> %x) {
+entry:
+  ret <2 x i3> %x
+}`, `define i8 @k(i8 %x) {
+entry:
+  %a = freeze i8 %x
+  %r = udiv i8 %a, 7
+  ret i8 %r
+}`, `define ptr @q(ptr %x) {
+entry:
+  ret ptr %x
+}`} {
+		fn := ir.MustParseFunc(src)
+		Check(fn, fn, cfg)
+	}
+	snap := cfg.Memo.Snapshot()
+	var packed, keyed int
+	for _, e := range snap.Entries {
+		for _, o := range e.Ordinals {
+			if o.Set.Packed != "" {
+				packed++
+			}
+			if len(o.Set.Rets) > 0 {
+				keyed++
+			}
+			set, ok := o.Set.restore()
+			if !ok {
+				t.Fatalf("restore refused %+v", o.Set)
+			}
+			if again := snapshotSet(set); !setSnapshotEqual(again, o.Set) {
+				t.Fatalf("set round trip lossy: %+v vs %+v", o.Set, again)
+			}
+		}
+	}
+	if packed == 0 || keyed == 0 {
+		t.Fatalf("snapshot holds %d packed and %d keyed sets, want both", packed, keyed)
+	}
+
+	fresh := NewMemo(0)
+	if n := fresh.LoadSnapshot(snap); n == 0 {
+		t.Fatal("LoadSnapshot installed nothing")
+	}
+	if again := fresh.Snapshot(); !memoSnapshotEqual(snap, again) {
+		t.Fatal("memo snapshot round trip lossy")
+	}
+	path := filepath.Join(t.TempDir(), "memo.snap")
+	if err := cache.WriteFile(path, "memo", core.SemanticsFingerprint, snap); err != nil {
+		t.Fatal(err)
+	}
+	var dec MemoSnapshot
+	if err := cache.ReadFile(path, "memo", core.SemanticsFingerprint, &dec); err != nil {
+		t.Fatal(err)
+	}
+	if !memoSnapshotEqual(snap, &dec) {
+		t.Fatal("file encode→decode lossy")
+	}
+
+	for _, bad := range []BehaviorSetSnapshot{
+		{Packed: "i2", Mask: 1 << 4},                    // outside the domain
+		{Packed: "i8", Mask: 1},                         // not a packed type
+		{Packed: "i2", Mask: 1, Rets: []string{"i2 0"}}, // both representations
+		{Packed: "x"},
+	} {
+		if _, ok := bad.restore(); ok {
+			t.Errorf("restore accepted %+v", bad)
+		}
+	}
+}

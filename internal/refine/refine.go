@@ -22,7 +22,6 @@ package refine
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"tameir/internal/core"
@@ -40,8 +39,6 @@ type BehaviorSet struct {
 	Poison bool
 	// Undef: some execution returns a value with an undef lane.
 	Undef bool
-	// Rets: concrete return values (keyed by Value.Key()).
-	Rets map[string]bool
 	// Void: the function returned normally with no value.
 	Void bool
 	// Incomplete: enumeration hit a resource bound (fuel, choice
@@ -49,45 +46,56 @@ type BehaviorSet struct {
 	// verdict based on it is inconclusive.
 	Incomplete bool
 	// RetBits is the total bitwidth of the return type (0 for void or
-	// very wide types); used to recognize when Rets covers the whole
-	// domain, which makes the set equivalent to one containing undef.
-	RetBits uint
+	// types wider than 20 bits); used to recognize when Rets covers the
+	// whole domain, which makes the set equivalent to one containing
+	// undef. A byte keeps the set at four words, which the memo stores
+	// by the million.
+	RetBits uint8
+	// Rets: concrete return values (see RetSet for the two
+	// representations).
+	Rets RetSet
 }
 
 // coversAllConcretes reports whether Rets contains every value of the
 // return type.
 func (b BehaviorSet) coversAllConcretes() bool {
-	return b.RetBits > 0 && b.RetBits <= 20 && uint64(len(b.Rets)) == uint64(1)<<b.RetBits
+	return b.RetBits > 0 && b.RetBits <= 20 && uint64(b.Rets.Len()) == uint64(1)<<b.RetBits
 }
 
 // String summarizes the set for diagnostics.
 func (b BehaviorSet) String() string {
-	var parts []string
+	return string(b.AppendTo(nil))
+}
+
+// AppendTo appends the String rendering of b to dst: the flags, the
+// sorted return keys, "ret void" and "(incomplete)", comma-separated in
+// braces.
+func (b BehaviorSet) AppendTo(dst []byte) []byte {
+	dst = append(dst, '{')
+	start := len(dst)
+	part := func(p string) {
+		if len(dst) > start {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, p...)
+	}
 	if b.UB {
-		parts = append(parts, "UB")
+		part("UB")
 	}
 	if b.Poison {
-		parts = append(parts, "poison")
+		part("poison")
 	}
 	if b.Undef {
-		parts = append(parts, "undef")
+		part("undef")
 	}
-	rets := make([]string, 0, len(b.Rets))
-	for k := range b.Rets {
-		rets = append(rets, k)
-	}
-	sort.Strings(rets)
-	parts = append(parts, rets...)
+	b.Rets.Each(part)
 	if b.Void {
-		parts = append(parts, "ret void")
+		part("ret void")
 	}
 	if b.Incomplete {
-		parts = append(parts, "(incomplete)")
+		part("(incomplete)")
 	}
-	if len(parts) == 0 {
-		return "{}"
-	}
-	return "{" + strings.Join(parts, ", ") + "}"
+	return append(dst, '}')
 }
 
 // Config bounds the enumeration.
@@ -300,12 +308,9 @@ func behaviorsAt(sd *side, args []core.Value, ordinal int, cfg *Config) Behavior
 		}
 	}
 	ex := sd.executor(cfg)
-	// Rets is allocated on the first concrete return value: many sweeps
-	// (all-poison candidates, void functions, UB) never need it, and
-	// the per-input map allocation is measurable on the §6 campaign.
-	var set BehaviorSet
+	set := BehaviorSet{Rets: newRetSet(fn.RetTy)}
 	if !fn.RetTy.IsVoid() && fn.RetTy.Bitwidth() <= 20 {
-		set.RetBits = fn.RetTy.Bitwidth()
+		set.RetBits = uint8(fn.RetTy.Bitwidth())
 	}
 	o := cfg.Oracle
 	if o == nil {
@@ -317,13 +322,10 @@ func behaviorsAt(sd *side, args []core.Value, ordinal int, cfg *Config) Behavior
 		opts.Fuel = cfg.Fuel
 	}
 	execs := 0
-	// Concrete return values repeat heavily across an oracle sweep
-	// (most functions have far fewer distinct results than executions),
-	// and Value.Key() allocates a string every call. Dedupe through a
-	// small linear-scan cache first so the Key()+map-insert cost is
-	// paid once per distinct value, not once per execution.
-	var seen [8]core.Value
-	nseen := 0
+	// Scratch for rendering keyed return values: a repeated value costs
+	// a map probe, not a string.
+	var keyArr [32]byte
+	keyBuf := keyArr[:0]
 	for {
 		if execs >= cfg.MaxExecs {
 			set.Incomplete = true
@@ -333,7 +335,9 @@ func behaviorsAt(sd *side, args []core.Value, ordinal int, cfg *Config) Behavior
 		o.Reset()
 		var out core.Outcome
 		if ex != nil {
-			out = ex.Run(args, o)
+			// The outcome is consumed before the next execution, so its
+			// lanes may stay in the executor's scratch.
+			out = ex.RunScratch(args, o)
 		} else {
 			out = core.Interpret(fn, args, o, opts)
 		}
@@ -354,23 +358,7 @@ func behaviorsAt(sd *side, args []core.Value, ordinal int, cfg *Config) Behavior
 			case !out.Val.IsConcrete():
 				set.Undef = true
 			default:
-				dup := false
-				for i := 0; i < nseen; i++ {
-					if seen[i].Equal(out.Val) {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					if nseen < len(seen) {
-						seen[nseen] = out.Val
-						nseen++
-					}
-					if set.Rets == nil {
-						set.Rets = make(map[string]bool, 4)
-					}
-					set.Rets[out.Val.Key()] = true
-				}
+				keyBuf = set.Rets.add(out.Val, keyBuf)
 			}
 		}
 		if !o.Next() {
@@ -416,15 +404,9 @@ func Refines(src, tgt BehaviorSet) (bool, string) {
 		return true, "" // deferred UB in source covers every concrete value
 	}
 	// Report the smallest missing value so the counterexample is
-	// deterministic (map iteration order is not).
-	missing := ""
-	for r := range tgt.Rets {
-		if !src.Rets[r] && (missing == "" || r < missing) {
-			missing = r
-		}
-	}
-	if missing != "" {
-		return false, fmt.Sprintf("target can return %s, source cannot", missing)
+	// deterministic.
+	if missing, ok := tgt.Rets.MissingFrom(src.Rets); ok {
+		return false, "target can return " + missing + ", source cannot"
 	}
 	if tgt.Void && !src.Void {
 		return false, "target returns void, source never returns"
@@ -528,15 +510,18 @@ func Check(src, tgt *ir.Func, cfg Config) Result {
 	if cfg.Memo != nil && cfg.Session == nil {
 		cfg.Session = cfg.Memo.NewSession()
 	}
-	exhaustive := true
-	cands := make([][]core.Value, len(src.Params))
-	inputs := 1
-	for i, p := range src.Params {
-		var ex bool
-		cands[i], ex = candidateValuesBits(p.Ty, cfg.SrcOpts.Mode, cfg.ExhaustiveInputBits)
+	// The input bookkeeping lives on the stack for the common case of a
+	// few parameters.
+	var spaceBuf [4]paramSpace
+	var digitBuf [4]inputDigit
+	spaces, exhaustive, inputs := spaceBuf[:0], true, 1
+	for _, p := range src.Params {
+		ps, ex := paramSpaceOf(p.Ty, cfg.SrcOpts.Mode, cfg.ExhaustiveInputBits)
+		spaces = append(spaces, ps)
 		exhaustive = exhaustive && ex
-		inputs = min(inputs*len(cands[i]), cfg.MaxInputs)
+		inputs = min(inputs*ps.size(), cfg.MaxInputs)
 	}
+	od, args := newOdometer(spaces, digitBuf[:0])
 	srcSide := side{fn: src, opts: cfg.SrcOpts, inputs: inputs}
 	tgtSide := side{fn: tgt, opts: cfg.TgtOpts, inputs: inputs}
 	if cfg.Metrics != nil {
@@ -549,14 +534,7 @@ func Check(src, tgt *ir.Func, cfg Config) Result {
 		}()
 	}
 	res := Result{Exhaustive: exhaustive}
-	idx := make([]int, len(cands))
-	// One argument vector serves every input: the engines copy it into
-	// their frames, and a counterexample takes its own copy.
-	args := make([]core.Value, len(cands))
 	for {
-		for i, j := range idx {
-			args[i] = cands[i][j]
-		}
 		res.Inputs++
 		if cfg.Metrics != nil {
 			cfg.Metrics.Inputs++
@@ -577,20 +555,15 @@ func Check(src, tgt *ir.Func, cfg Config) Result {
 				res.InconclusiveInputs++
 			} else {
 				res.Status = Refuted
-				res.CE = &CounterExample{Args: slices.Clone(args), Src: sb, Tgt: tb, Reason: reason}
+				// The odometer rewrites args in place: copy them deep.
+				res.CE = &CounterExample{Args: make([]core.Value, len(args)), Src: sb, Tgt: tb, Reason: reason}
+				for i, a := range args {
+					res.CE.Args[i] = core.Value{Ty: a.Ty, Lanes: slices.Clone(a.Lanes)}
+				}
 				return res
 			}
 		}
-		// Advance the input odometer.
-		k := len(idx) - 1
-		for ; k >= 0; k-- {
-			idx[k]++
-			if idx[k] < len(cands[k]) {
-				break
-			}
-			idx[k] = 0
-		}
-		if k < 0 {
+		if !od.next() {
 			break
 		}
 	}
@@ -606,78 +579,192 @@ func Check(src, tgt *ir.Func, cfg Config) Result {
 // type ty, and whether they cover the type exhaustively. Deferred-UB
 // inputs are included: poison always, undef under legacy semantics.
 // Integers up to the default exhaustive width (4 bits) are fully
-// enumerated; Config.ExhaustiveInputBits widens that cutoff.
+// enumerated; Config.ExhaustiveInputBits widens that cutoff. The list
+// is the sequence Check streams for such a parameter.
 func CandidateValues(ty ir.Type, mode core.Mode) ([]core.Value, bool) {
 	return candidateValuesBits(ty, mode, 0)
 }
 
 func candidateValuesBits(ty ir.Type, mode core.Mode, bits uint) ([]core.Value, bool) {
+	ps, exhaustive := paramSpaceOf(ty, mode, bits)
+	od, args := newOdometer([]paramSpace{ps}, nil)
+	var vs []core.Value
+	for {
+		vs = append(vs, core.Value{Ty: ty, Lanes: slices.Clone(args[0].Lanes)})
+		if !od.next() {
+			return vs, exhaustive
+		}
+	}
+}
+
+// laneSpace is the sequence of values one lane takes: conc concrete
+// values (samples[i], or i itself when samples is nil), then poison,
+// then undef when deferred is 2.
+type laneSpace struct {
+	samples  []uint64
+	conc     int
+	deferred int
+}
+
+func (ls laneSpace) size() int { return ls.conc + ls.deferred }
+
+// scalar returns the lane's d-th value.
+func (ls laneSpace) scalar(d int) core.Scalar {
+	switch {
+	case d < ls.conc && ls.samples != nil:
+		return core.C(ls.samples[d])
+	case d < ls.conc:
+		return core.C(uint64(d))
+	case d == ls.conc:
+		return core.PoisonScalar
+	}
+	return core.UndefScalar
+}
+
+// paramSpace is the sequence of inputs Check tries for one parameter:
+// either every lane takes the same value from lane (scalars, pointers
+// and wide vectors), or, for small integer vectors, each lane varies
+// independently over lane, the last lane fastest.
+type paramSpace struct {
+	ty     ir.Type
+	lane   laneSpace
+	lanes  int
+	spread bool
+}
+
+// size is the number of inputs in the space.
+func (ps paramSpace) size() int {
+	if !ps.spread {
+		return ps.lane.size()
+	}
+	n := 1
+	for i := 0; i < ps.lanes; i++ {
+		n *= ps.lane.size()
+	}
+	return n
+}
+
+// paramSpaceOf returns the input space of a parameter of type ty and
+// whether it covers the type exhaustively. Integers (and the lanes of
+// integer vectors of at most 6 bits) up to bits wide (0 means 4) are
+// enumerated in full, wider ones sampled at their corners.
+func paramSpaceOf(ty ir.Type, mode core.Mode, bits uint) (paramSpace, bool) {
 	if bits == 0 {
 		bits = 4
 	}
-	addDeferred := func(vs []core.Value) []core.Value {
-		vs = append(vs, core.VPoison(ty))
-		if mode == core.Legacy {
-			vs = append(vs, core.VUndef(ty))
-		}
-		return vs
+	deferred := 1
+	if mode == core.Legacy {
+		deferred = 2
 	}
+	intLane := func(w uint) (laneSpace, bool) {
+		if w <= bits {
+			return laneSpace{conc: 1 << w, deferred: deferred}, true
+		}
+		return laneSpace{samples: intSamples[w], conc: len(intSamples[w]), deferred: deferred}, false
+	}
+	lanes := int(ty.NumElems())
 	switch {
-	case ty.IsInt() && ty.Bits <= bits:
-		var vs []core.Value
-		for v := uint64(0); v < 1<<ty.Bits; v++ {
-			vs = append(vs, core.VC(ty, v))
-		}
-		return addDeferred(vs), true
 	case ty.IsInt():
-		// Sample the interesting corners.
-		w := ty.Bits
-		samples := []uint64{0, 1, 2, 3, ir.TruncBits(^uint64(0), w), 1 << (w - 1), 1<<(w-1) - 1, 5, 10, 100}
-		seen := map[uint64]bool{}
-		var vs []core.Value
-		for _, s := range samples {
-			s = ir.TruncBits(s, w)
-			if !seen[s] {
-				seen[s] = true
-				vs = append(vs, core.VC(ty, s))
-			}
-		}
-		return addDeferred(vs), false
+		lane, exhaustive := intLane(ty.Bits)
+		return paramSpace{ty: ty, lane: lane, lanes: 1}, exhaustive
 	case ty.IsPtr():
 		// Null and poison. Valid pointers require a memory harness the
 		// caller sets up (see CheckWithPointers-style helpers in the
 		// pass tests); enumeration here stays conservative.
-		return addDeferred([]core.Value{core.VC(ty, 0)}), false
+		return paramSpace{ty: ty, lane: laneSpace{conc: 1, deferred: deferred}, lanes: 1}, false
 	case ty.IsVec() && ty.ElemType().IsInt() && ty.ElemType().Bits*ty.Len <= 6:
-		lane, _ := CandidateValues(ty.ElemType(), mode)
-		// Cartesian product over lanes.
-		var vs []core.Value
-		idx := make([]int, ty.Len)
-		for {
-			v := core.Value{Ty: ty, Lanes: make([]core.Scalar, ty.Len)}
-			for i, j := range idx {
-				v.Lanes[i] = lane[j].Lanes[0]
-			}
-			vs = append(vs, v)
-			k := len(idx) - 1
-			for ; k >= 0; k-- {
-				idx[k]++
-				if idx[k] < len(lane) {
-					break
-				}
-				idx[k] = 0
-			}
-			if k < 0 {
-				break
-			}
-		}
-		return vs, true
+		lane, exhaustive := intLane(ty.ElemType().Bits)
+		return paramSpace{ty: ty, lane: lane, lanes: lanes, spread: true}, exhaustive
 	case ty.IsVec():
-		zero := core.Value{Ty: ty, Lanes: make([]core.Scalar, ty.Len)}
-		for i := range zero.Lanes {
-			zero.Lanes[i] = core.C(0)
-		}
-		return addDeferred([]core.Value{zero}), false
+		// The zero vector and the all-poison (and all-undef) vectors.
+		return paramSpace{ty: ty, lane: laneSpace{conc: 1, deferred: deferred}, lanes: lanes}, false
 	}
 	panic("refine: no candidates for type " + ty.String())
+}
+
+// intSamples[w] lists the corner values sampled for a w-bit integer
+// too wide to enumerate, deduplicated in first-seen order.
+var intSamples = func() (t [ir.MaxIntBits + 1][]uint64) {
+	for w := uint(1); w <= ir.MaxIntBits; w++ {
+		for _, s := range []uint64{0, 1, 2, 3, ^uint64(0), 1 << (w - 1), 1<<(w-1) - 1, 5, 10, 100} {
+			s = ir.TruncBits(s, w)
+			if !slices.Contains(t[w], s) {
+				t[w] = append(t[w], s)
+			}
+		}
+	}
+	return t
+}()
+
+// odometer streams Check's input vectors through one argument vector:
+// each digit is one parameter, or one lane of a spread vector
+// parameter, and advancing a digit rewrites only the lanes it owns. The
+// last digit turns fastest, which is the order CandidateValues lists
+// and the order memo ordinals are counted in.
+type odometer struct {
+	digits []inputDigit
+}
+
+type inputDigit struct {
+	arg  *core.Value
+	lane int // the lane this digit writes; -1 writes every lane
+	ls   laneSpace
+	d    int
+}
+
+// write stores the digit's current value into its argument.
+func (dg *inputDigit) write() {
+	s := dg.ls.scalar(dg.d)
+	if dg.lane >= 0 {
+		dg.arg.Lanes[dg.lane] = s
+		return
+	}
+	for i := range dg.arg.Lanes {
+		dg.arg.Lanes[i] = s
+	}
+}
+
+// newOdometer returns an odometer over spaces, positioned on the first
+// input, and the argument vector it writes. digits is appended to, so
+// it may bring capacity from the caller's stack (which is why the
+// argument vector is returned apart from the odometer: the engines
+// keep it, and that must not move the digits to the heap).
+func newOdometer(spaces []paramSpace, digits []inputDigit) (odometer, []core.Value) {
+	nlanes := 0
+	for _, ps := range spaces {
+		nlanes += ps.lanes
+	}
+	lanes := make([]core.Scalar, nlanes)
+	args := make([]core.Value, len(spaces))
+	for i, ps := range spaces {
+		args[i] = core.Value{Ty: ps.ty, Lanes: lanes[:ps.lanes:ps.lanes]}
+		lanes = lanes[ps.lanes:]
+		if !ps.spread {
+			digits = append(digits, inputDigit{arg: &args[i], lane: -1, ls: ps.lane})
+			continue
+		}
+		for l := 0; l < ps.lanes; l++ {
+			digits = append(digits, inputDigit{arg: &args[i], lane: l, ls: ps.lane})
+		}
+	}
+	for k := range digits {
+		digits[k].write()
+	}
+	return odometer{digits: digits}, args
+}
+
+// next advances to the following input, reporting false (with every
+// digit back on its first value) once the sequence is exhausted.
+func (od *odometer) next() bool {
+	for k := len(od.digits) - 1; k >= 0; k-- {
+		dg := &od.digits[k]
+		dg.d++
+		if dg.d < dg.ls.size() {
+			dg.write()
+			return true
+		}
+		dg.d = 0
+		dg.write()
+	}
+	return false
 }

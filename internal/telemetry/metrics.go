@@ -161,6 +161,21 @@ func (r *Registry) Histogram(name string, class Class, help string) Histogram {
 	return Histogram{r.resolve(name, KindHistogram, class, help)}
 }
 
+// FindHistogram returns the histogram registered under name without
+// registering one: the zero Histogram, which reads 0, when there is
+// none.
+func (r *Registry) FindHistogram(name string) Histogram {
+	if r == nil {
+		return Histogram{}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m := r.metrics[name]; m != nil && m.kind == KindHistogram {
+		return Histogram{m}
+	}
+	return Histogram{}
+}
+
 // Counter is a monotonically increasing uint64. The zero Counter (from
 // a nil registry) discards updates.
 type Counter struct{ m *metric }

@@ -103,7 +103,7 @@ func (s *Scope) Start(name string) *Span {
 		path = path + "/" + name
 	}
 	sp := &Span{
-		hist:  s.reg.Histogram(L("span_wall_ns", "span", path), Scheduling, "span wall time in nanoseconds"),
+		hist:  s.reg.Histogram(SpanSeries(path), Scheduling, "span wall time in nanoseconds"),
 		start: time.Now(),
 	}
 	if s.rec != nil {
@@ -114,6 +114,9 @@ func (s *Scope) Start(name string) *Span {
 	// _sum the total nanoseconds — the same two numbers a classic
 	// start/stop timer pair would report, plus a latency distribution.
 }
+
+// SpanSeries names the histogram that spans at path record into.
+func SpanSeries(path string) string { return L("span_wall_ns", "span", path) }
 
 // End records the span's elapsed wall time. Safe on a nil span.
 func (sp *Span) End() {
