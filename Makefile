@@ -66,7 +66,7 @@ check: build vet test race
 # -verify-each so the battery covers the legacy dialect too.
 #
 # The paper's §6 claim then runs as a standing check, ahead of the
-# cache, workload and trace gates: the -O2 passes survive exhaustive
+# workload and trace gates: the -O2 passes survive exhaustive
 # refinement checking of every 2-instruction i2 freeze-dialect function
 # (250000 candidates, about 8 s on 2 CPUs), so campaign_refuted_total
 # must be exactly 0. The same run must keep the shared memo paying:
@@ -93,28 +93,8 @@ ci: vet test
 	  | $(GO) run ./cmd/tame-metrics -check 'poison_oracle_funcs_total>0,poison_oracle_claims_total>0,poison_oracle_execs_total>0,poison_oracle_violations_total=0'
 	$(GO) run ./cmd/tame-fuzz -validate -sem freeze -instrs 2 -n 250000 -workers 2 -metrics - \
 	  | $(GO) run ./cmd/tame-metrics -check 'campaign_refuted_total=0,memo_hits_total/memo_lookups_total>=0.45'
-	$(MAKE) ci-cache
 	$(MAKE) ci-workload
 	$(MAKE) ci-trace
-
-# The persistent-cache gate: the same quick freeze campaign runs twice
-# against one -cache-dir. The cold run seeds the snapshots; the warm
-# run must actually serve memo lookups from them (cache_disk_hits_total
-# strictly positive, zero stale rejects) and — the soundness half —
-# produce byte-identical findings, which cmp enforces on the captured
-# stdout. The warm run's memo must then be effectively total: the ratio
-# assertion demands at least half of all lookups hit (in practice the
-# disk snapshot makes it 100%; 0.5 leaves headroom for generator
-# growth). The ci-cache/ dir is kept — snapshots and both metric
-# snapshots — for the workflow's cache-snapshots artifact.
-.PHONY: ci-cache
-ci-cache:
-	rm -rf ci-cache && mkdir -p ci-cache
-	$(GO) run ./cmd/tame-fuzz -validate -n 300 -workers 2 -sem freeze -cache-dir ci-cache -metrics ci-cache/cold-metrics.json > ci-cache/cold-findings.txt
-	$(GO) run ./cmd/tame-fuzz -validate -n 300 -workers 2 -sem freeze -cache-dir ci-cache -metrics ci-cache/warm-metrics.json > ci-cache/warm-findings.txt
-	cmp ci-cache/cold-findings.txt ci-cache/warm-findings.txt
-	$(GO) run ./cmd/tame-metrics -check 'cache_disk_loads_total=0,cache_disk_hits_total=0,cache_disk_stale_rejects_total=0' ci-cache/cold-metrics.json
-	$(GO) run ./cmd/tame-metrics -check 'cache_disk_loads_total>0,cache_disk_hits_total>0,cache_disk_stale_rejects_total=0,memo_hits_total/memo_lookups_total>=0.5' ci-cache/warm-metrics.json
 
 # The workload-layer gate, in two halves. Determinism: the same seeded
 # mutation campaign (unsound legacy -O2, reducer on) runs at two worker
@@ -150,7 +130,8 @@ ci-workload:
 # finding (instants(finding)==counter(findings) — the pinned region is
 # what makes this immune to ring wrap), and zero watchdog stalls; the
 # metric twin re-checks the stall count and the event volume from the
-# registry side. The human-readable summary (top spans, per-shard
+# registry side, and that the check-phase spans -trace turns on also
+# reach the registry as span_wall_ns histograms. The human-readable summary (top spans, per-shard
 # utilization, outliers) and the trace itself land in ci-trace/ for
 # the workflow's flight-recorder artifact — download trace.json and
 # drop it into ui.perfetto.dev to see the campaign timeline.
@@ -161,4 +142,4 @@ ci-trace:
 	  -trace ci-trace/trace.json -stall-deadline 120s -metrics ci-trace/trace-metrics.json > ci-trace/findings.txt || true
 	$(GO) run ./cmd/tame-trace -assert 'spans(campaign/s)>0,spans(check/)>0,spans(pass/)>0,instants(finding)==counter(findings),instants(finding)>0,instants(watchdog_stall)==0' ci-trace/trace.json
 	$(GO) run ./cmd/tame-trace summarize ci-trace/trace.json > ci-trace/summary.txt
-	$(GO) run ./cmd/tame-metrics -check 'watchdog_stalls_total=0,trace_events_total>0,campaign_refuted_total>0' ci-trace/trace-metrics.json
+	$(GO) run ./cmd/tame-metrics -check 'watchdog_stalls_total=0,trace_events_total>0,campaign_refuted_total>0,span_wall_ns{span="check/behaviors_src"}>0' ci-trace/trace-metrics.json

@@ -10,7 +10,6 @@
 //	          [-sem legacy|freeze] [-unsound] [-verify-each]
 //	          [-workers N] [-no-memo] [-stats] [-instrs N] [-n MAX]
 //	          [-width W] [-seed S] [-epochs N] [-corpus FILE] [-reduce]
-//	          [-trace-phases]
 //	tame-fuzz -poison-oracle [-sem legacy|freeze] [-workers N]
 //	          [-instrs N] [-n MAX] [-width W] [-metrics file|-]
 //
@@ -36,9 +35,7 @@
 // -reduce pushes every finding through the automatic reducer: a
 // greedy, deterministic shrink loop that deletes instructions, drops
 // branch arms and zeroes operands while re-checking the refinement
-// verdict after every step. -trace-phases adds per-shard and
-// per-check-phase telemetry spans to the -metrics snapshot (off by
-// default; spans measure wall time, so they are scheduling-dependent).
+// verdict after every step.
 //
 // With -poison-oracle the same exhaustive function space is swept by
 // the poison-analysis soundness oracle instead: every value the
@@ -54,21 +51,18 @@
 //	-progress           live progress line on stderr; findings stream
 //	                    to stdout the moment their shard's turn comes,
 //	                    instead of being buffered until the end
-//	-debug-addr ADDR    serve /metrics, /metrics.json, /metrics/history
-//	                    and /debug/pprof on ADDR while the run lasts
-//	                    (plus /debug/trace when -trace is set)
+//	-debug-addr ADDR    serve /metrics, /metrics.json and /debug/pprof
+//	                    on ADDR while the run lasts (plus /debug/trace
+//	                    when -trace is set)
 //	-trace FILE         record the campaign into the flight recorder
 //	                    and write a Chrome trace-event JSON timeline to
 //	                    FILE — load it in Perfetto or chrome://tracing,
-//	                    or feed it to tame-trace summarize/diff/-assert
+//	                    or feed it to tame-trace summarize/diff/-assert;
+//	                    it also adds the per-shard, per-check-phase and
+//	                    per-pass span_wall_ns histograms to -metrics
 //	-stall-deadline D   arm the stall watchdog: a shard silent for
 //	                    longer than D dumps goroutine stacks and an
 //	                    emergency trace snapshot instead of hanging
-//	-cache-dir DIR      warm-start from DIR's persistent snapshots
-//	                    (behaviour-set memo + lowering metadata) and
-//	                    refresh them after the run; stale snapshots are
-//	                    rejected wholesale, so findings are always
-//	                    byte-identical to a cold run
 package main
 
 import (
@@ -107,15 +101,11 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write the metric snapshot to this file ('-' = text on stdout, *.json = JSON)")
 	progress := flag.Bool("progress", false, "live progress line on stderr; stream findings as they are confirmed")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address during the run")
-	debugSnapEvery := flag.Duration("debug-snapshot-interval", 0, "debug-server history snapshot interval (0 = 5s default)")
-	debugSnapRing := flag.Int("debug-snapshot-ring", 0, "debug-server history ring depth (0 = default)")
 	tier := flag.String("tier", "", "execution tier for -validate: off (interpreter), closure, auto or bytecode (default auto)")
-	cacheDir := flag.String("cache-dir", "", "persistent cache directory for -validate warm starts (loaded before, refreshed after the run)")
 	source := flag.String("source", "exhaustive", "candidate workload for -validate: exhaustive, mutate or wide")
 	epochs := flag.Int("epochs", 0, "mutation epochs for -source mutate (0 = default)")
 	corpus := flag.String("corpus", "", "corpus file for -source mutate: seeds loaded before the run (if present), final corpus written after")
 	reduce := flag.Bool("reduce", false, "shrink every finding with the automatic reducer before reporting it")
-	tracePhases := flag.Bool("trace-phases", false, "record per-shard and per-check-phase telemetry spans (wall-clock; scheduling-dependent)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline of the -validate run to this file")
 	traceBuf := flag.Int("trace-buf", 0, "flight-recorder capacity in events (0 = default 64Ki; oldest events are overwritten)")
 	stallDeadline := flag.Duration("stall-deadline", 0, "watchdog deadline: a shard silent this long dumps goroutine stacks and a trace snapshot (0 = off)")
@@ -136,11 +126,8 @@ func main() {
 			verifyEach: *verifyEach,
 			workers:    *workers, noMemo: *noMemo, optStats: *optStats,
 			metricsPath: *metricsPath, progress: *progress, debugAddr: *debugAddr,
-			debugSnapEvery: *debugSnapEvery, debugSnapRing: *debugSnapRing,
-			tier: *tier, cacheDir: *cacheDir,
-			source: *source, seed: *seed, epochs: *epochs, corpus: *corpus,
-			reduce: *reduce, tracePhases: *tracePhases,
-			tracePath: *tracePath, traceBuf: *traceBuf,
+			tier: *tier, source: *source, seed: *seed, epochs: *epochs, corpus: *corpus,
+			reduce: *reduce, tracePath: *tracePath, traceBuf: *traceBuf,
 			stallDeadline: *stallDeadline, stallSnapshot: *stallSnapshot,
 		})
 		return
@@ -180,16 +167,12 @@ type campaignFlags struct {
 	metricsPath      string
 	progress         bool
 	debugAddr        string
-	debugSnapEvery   time.Duration
-	debugSnapRing    int
 	tier             string
-	cacheDir         string
 	source           string
 	seed             int64
 	epochs           int
 	corpus           string
 	reduce           bool
-	tracePhases      bool
 	tracePath        string
 	traceBuf         int
 	stallDeadline    time.Duration
@@ -321,9 +304,7 @@ func runCampaign(fl campaignFlags) {
 		PipelineCfg: pcfg,
 		Workers:     fl.workers,
 		MemoEntries: memoEntries,
-		CacheDir:    fl.cacheDir,
 		Reduce:      fl.reduce,
-		TracePhases: fl.tracePhases,
 		Seed:        fl.seed,
 	}
 
@@ -346,12 +327,12 @@ func runCampaign(fl campaignFlags) {
 		c.Telemetry = reg
 	}
 	if fl.debugAddr != "" {
-		ds, err := telemetry.StartDebugServer(fl.debugAddr, reg, fl.debugSnapEvery, fl.debugSnapRing, rec)
+		ds, err := telemetry.StartDebugServer(fl.debugAddr, reg, rec)
 		if err != nil {
 			fatal(err)
 		}
 		defer ds.Close()
-		endpoints := "/metrics, /metrics.json, /metrics/history, /debug/pprof"
+		endpoints := "/metrics, /metrics.json, /debug/pprof"
 		if rec != nil {
 			endpoints += ", /debug/trace"
 		}
@@ -432,14 +413,6 @@ func runCampaign(fl campaignFlags) {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "tame-fuzz: corpus: %d functions written to %s\n", len(msrc.Corpus()), fl.corpus)
-	}
-	if fl.cacheDir != "" {
-		fmt.Fprintf(os.Stderr,
-			"tame-fuzz: cache-dir %s: %d snapshots loaded, %d disk hits, %d stale-rejected\n",
-			fl.cacheDir, st.DiskLoads, st.DiskHits, st.DiskStaleRejects)
-		if st.DiskErr != nil {
-			fmt.Fprintf(os.Stderr, "tame-fuzz: warning: cache-dir: %v\n", st.DiskErr)
-		}
 	}
 	if fl.optStats && !fl.noMemo {
 		// The memo is shared across all worker shards, so the hit rate

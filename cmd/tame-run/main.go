@@ -31,7 +31,6 @@ func main() {
 	interp := flag.Bool("interp", false, "force the tree-walking interpreter instead of the compiled engine")
 	tier := flag.String("tier", "", "execution tier: off (interpreter), closure, auto or bytecode (default closure; -interp implies off)")
 	metricsPath := flag.String("metrics", "", "write engine metrics after the run ('-' = text on stdout, *.json = JSON)")
-	cacheDir := flag.String("cache-dir", "", "persistent cache directory: warm-start lowering metadata (and, with -enumerate, the behaviour-set memo) and refresh it after the run")
 	flag.Parse()
 	if flag.NArg() < 1 {
 		fatal(fmt.Errorf("usage: tame-run [flags] file [args...]"))
@@ -93,42 +92,13 @@ func main() {
 		}
 	}
 
-	// -cache-dir warm-starts the process caches: pre-hot lowering
-	// metadata for the tiering controller, and — on the -enumerate
-	// path, which runs the behaviour-set machinery — the memo too.
-	var disk *refine.DiskCache
-	saveDisk := func() {
-		if disk == nil {
-			return
-		}
-		if err := disk.Save(); err != nil {
-			fmt.Fprintf(os.Stderr, "tame-run: warning: cache-dir: %v\n", err)
-		}
-	}
-
 	if *enumerate {
 		cfg := refine.DefaultConfig(opts, opts)
 		cfg.Interpret = runInterp
 		cfg.Tier = policy
-		cfg.CacheDir = *cacheDir
-		if *cacheDir != "" {
-			cfg.Memo = refine.NewMemo(0)
-			disk = refine.OpenDiskCache(*cacheDir, cfg.Memo)
-			if _, err := disk.Load(); err != nil {
-				fmt.Fprintf(os.Stderr, "tame-run: warning: cache-dir: %v\n", err)
-			}
-		}
 		set := refine.Behaviors(fn, args, opts, cfg)
 		fmt.Printf("behaviours: %s\n", set)
-		saveDisk()
 		return
-	}
-	if *cacheDir != "" {
-		disk = refine.OpenDiskCache(*cacheDir, nil)
-		if _, err := disk.Load(); err != nil {
-			fmt.Fprintf(os.Stderr, "tame-run: warning: cache-dir: %v\n", err)
-		}
-		defer saveDisk()
 	}
 	env, err := core.NewEnv(mod, core.NewRandOracle(*seed), opts)
 	if err != nil {

@@ -1,8 +1,7 @@
 // Package cache is the repo's generic concurrency-safe cache layer:
 // the lock-sharded bounded table, second-chance clock eviction, and
 // lock-striped get-or-create map that core.ProgramCache, refine.Memo
-// and the bytecode lowering cache all instantiate, plus the versioned
-// snapshot files behind -cache-dir warm starts (snapshot.go).
+// and the bytecode lowering cache all instantiate.
 //
 // The layer deliberately exposes mechanism, not policy. Each cache in
 // the repo has its own keying discipline (full canonical strings so a
@@ -343,21 +342,6 @@ func (t *Table[K, V]) Keys() []K {
 		sh.mu.Unlock()
 	}
 	return out
-}
-
-// Range visits every resident entry with its shard lock held, shard
-// by shard — the raw material for metadata snapshots. Visit order is
-// unspecified; callers that need deterministic output sort what they
-// collect. f must not call back into the table.
-func (t *Table[K, V]) Range(f func(k K, v V)) {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for k, e := range sh.m {
-			f(k, e.v)
-		}
-		sh.mu.Unlock()
-	}
 }
 
 // Len returns the number of resident entries (approximate while

@@ -225,7 +225,7 @@ func (env *Env) tierRunnerFor(p *Program) TierRunner {
 	case TierBytecode:
 		tp = p.tierProgram(&env.Metrics)
 	case TierAuto:
-		if p.tierExecs.Add(1) < env.Tier.threshold() && !p.preHot {
+		if p.tierExecs.Add(1) < env.Tier.threshold() {
 			return nil
 		}
 		tp = p.tierProgram(&env.Metrics)

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sort"
-	"sync"
-
 	"tameir/internal/cache"
 	"tameir/internal/ir"
 )
@@ -31,15 +28,8 @@ import (
 // lowered §6-sized programs are a few hundred bytes each.
 const DefaultLowerCacheSize = 4096
 
-// SemanticsFingerprint names the engine's observable semantics for
-// persistent cache snapshots (-cache-dir). Bump it whenever a change
-// could alter any behaviour set, outcome, or Check's deterministic
-// input enumeration — stale snapshots are then rejected wholesale
-// instead of replaying last build's verdicts.
-const SemanticsFingerprint = "tameir-sem-2"
-
 // lowerKey identifies one shareable lowering. All fields are scalars
-// or strings, so the key is comparable and stable across processes.
+// or strings, so the key is comparable.
 type lowerKey struct {
 	text string
 	opts Options // normalized
@@ -92,114 +82,3 @@ func lowerCached(fn *ir.Func, opts Options) (tp TierProgram, usedCache bool) {
 
 // LowerCacheStats returns the shared lowering cache's counters.
 func LowerCacheStats() cache.Stats { return sharedLowerings.Stats() }
-
-// warmLowerings is the set of lowerings a -cache-dir snapshot recorded
-// as hot last run. Compile consults it (when non-empty) to mark fresh
-// programs pre-hot, so TierAuto promotes them on their first execution
-// instead of re-paying the threshold. Tier choice never affects
-// Outcomes — the three-way lockstep tests pin that — so installing a
-// snapshot can only move promotion points, never change a verdict.
-var warmLowerings struct {
-	mu sync.RWMutex
-	m  map[lowerKey]struct{}
-}
-
-// warmPromoted reports whether (fn, opts) was recorded hot by an
-// installed snapshot. The common case — no snapshot installed — is a
-// single RLock'd length check, no fn.String().
-func warmPromoted(fn *ir.Func, opts Options) bool {
-	if tierBackend == nil {
-		return false
-	}
-	warmLowerings.mu.RLock()
-	defer warmLowerings.mu.RUnlock()
-	if len(warmLowerings.m) == 0 {
-		return false
-	}
-	k := lowerKey{text: fn.String(), opts: opts, tier: tierBackend.Name()}
-	_, ok := warmLowerings.m[k]
-	return ok
-}
-
-// LowerSnapshot is the persistable metadata of the lowering cache:
-// which (canonical text, options, tier) triples were lowered, not the
-// lowered bytes themselves — re-lowering is cheap once you know what
-// to lower.
-type LowerSnapshot struct {
-	Entries []LowerSnapshotEntry
-}
-
-// LowerSnapshotEntry is one recorded lowering.
-type LowerSnapshotEntry struct {
-	Text string
-	Opts Options
-	Tier string
-}
-
-// LowerSnapshotNow captures the successful lowerings currently
-// resident in the shared cache, in deterministic (sorted) order.
-func LowerSnapshotNow() *LowerSnapshot {
-	s := &LowerSnapshot{}
-	sharedLowerings.Range(func(k lowerKey, tp TierProgram) {
-		if tp == nil {
-			return // a recorded decline is not worth persisting
-		}
-		s.Entries = append(s.Entries, LowerSnapshotEntry{Text: k.text, Opts: k.opts, Tier: k.tier})
-	})
-	sort.Slice(s.Entries, func(i, j int) bool {
-		a, b := &s.Entries[i], &s.Entries[j]
-		if a.Text != b.Text {
-			return a.Text < b.Text
-		}
-		if a.Tier != b.Tier {
-			return a.Tier < b.Tier
-		}
-		return lowerKeyLess(a.Opts, b.Opts)
-	})
-	return s
-}
-
-// lowerKeyLess is an arbitrary-but-total order over Options for
-// deterministic snapshots.
-func lowerKeyLess(a, b Options) bool {
-	ka := [8]int{int(a.Mode), int(a.BranchPoison), int(a.SelectPoisonCond), boolInt(a.SelectArmPoisonEither), a.Fuel, a.MaxCallDepth, boolInt(a.EmitTrace), 0}
-	kb := [8]int{int(b.Mode), int(b.BranchPoison), int(b.SelectPoisonCond), boolInt(b.SelectArmPoisonEither), b.Fuel, b.MaxCallDepth, boolInt(b.EmitTrace), 0}
-	for i := range ka {
-		if ka[i] != kb[i] {
-			return ka[i] < kb[i]
-		}
-	}
-	return false
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// InstallLowerSnapshot replaces the warm-promotion set with the
-// snapshot's entries (normalizing options, dropping entries for other
-// backends) and returns how many were installed. Pass nil to clear.
-func InstallLowerSnapshot(s *LowerSnapshot) int {
-	warmLowerings.mu.Lock()
-	defer warmLowerings.mu.Unlock()
-	warmLowerings.m = nil
-	if s == nil || tierBackend == nil {
-		return 0
-	}
-	name := tierBackend.Name()
-	n := 0
-	for _, e := range s.Entries {
-		if e.Tier != name {
-			continue
-		}
-		if warmLowerings.m == nil {
-			warmLowerings.m = make(map[lowerKey]struct{}, len(s.Entries))
-		}
-		warmLowerings.m[lowerKey{text: e.Text, opts: e.Opts.normalized(), tier: e.Tier}] = struct{}{}
-		n++
-	}
-	return n
-}

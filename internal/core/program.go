@@ -49,11 +49,6 @@ type Program struct {
 	tierExecs atomic.Uint64
 	tierOnce  sync.Once
 	tierProg  TierProgram
-
-	// preHot records that a -cache-dir snapshot saw this program (by
-	// canonical text and options) promoted last run; TierAuto then
-	// promotes on the first execution instead of after the threshold.
-	preHot bool
 }
 
 // tierProgram returns the program's tier-2 lowering, resolving it on
@@ -280,7 +275,6 @@ func Compile(fn *ir.Func, opts Options) *Program {
 			q.needsMem = true
 		}
 	}
-	p.preHot = warmPromoted(fn, opts)
 	return p
 }
 
@@ -1095,7 +1089,7 @@ func (e *Executor) tryPromote() {
 			e.tier.Mode = TierClosure // backend declined; stop asking
 		}
 	case TierAuto:
-		if p.tierExecs.Add(1) < e.tier.threshold() && !p.preHot {
+		if p.tierExecs.Add(1) < e.tier.threshold() {
 			return
 		}
 		if tp := p.tierProgram(&e.env.Metrics); tp != nil {

@@ -240,6 +240,33 @@ func TestParseErrors(t *testing.T) {
 			}
 		}
 	}
+
+	// Unresolved names are reported at their first use in source
+	// order, with its line, however many there are.
+	exact := []struct{ name, src, want string }{
+		{"three undefined values", "define i2 @f(i2 %a) {\nentry:\n  %x = add i2 %a, %u\n  %y = add i2 %v, %w\n  ret i2 %y\n}",
+			"ir: line 3: undefined value %u in @f"},
+		{"use before a later undefined one", "define i2 @f() {\nentry:\n  br label %next\nnext:\n  %y = add i2 %b, %a\n  %z = add i2 %a, 1\n  ret i2 %y\n}",
+			"ir: line 5: undefined value %b in @f"},
+		{"undefined block", "define void @f() {\nentry:\n  br label %nosuch\n}",
+			"ir: line 3: undefined block %nosuch in @f"},
+		{"block before value", "define i2 @f(i1 %c) {\nentry:\n  br i1 %c, label %yes, label %no\nyes:\n  ret i2 %q\n}",
+			"ir: line 3: undefined block %no in @f"},
+		{"value before block", "define i2 @f(i1 %c) {\nentry:\n  %x = add i2 %q, 1\n  br i1 %c, label %yes, label %no\nyes:\n  ret i2 %x\n}",
+			"ir: line 3: undefined value %q in @f"},
+		{"phi block", "define i2 @f() {\nentry:\n  br label %m\nm:\n  %p = phi i2 [ 0, %entry ], [ 1, %gone ]\n  ret i2 %p\n}",
+			"ir: line 5: undefined block %gone in @f"},
+	}
+	for _, tc := range exact {
+		// Repeat: map iteration order differs between runs, so a
+		// message drawn from a map would not hold still.
+		for i := 0; i < 20; i++ {
+			_, err := ParseModule(tc.src)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
+			}
+		}
+	}
 }
 
 func TestParseGlobal(t *testing.T) {

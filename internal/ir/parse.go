@@ -161,9 +161,19 @@ type parser struct {
 	vals   map[string]Value
 	fwd    map[string]*forwardRef
 	blocks map[string]*Block
+	// early lists, in source order, the first use of every value and
+	// block referenced before its definition, so a function that never
+	// defines some of them reports the earliest use (map order would
+	// name a random one).
+	early []earlyUse
 
 	// calls to functions not yet defined are patched at module end.
 	pendingCalls []pendingCall
+}
+
+type earlyUse struct {
+	tok   token // the referencing operand or label
+	block bool
 }
 
 type pendingCall struct {
@@ -325,7 +335,7 @@ func (p *parser) parseOperand(ty Type) (Value, error) {
 	switch {
 	case t.kind == tokLocal:
 		p.lex.next()
-		return p.localRef(t.text, ty), nil
+		return p.localRef(t, ty), nil
 	case t.kind == tokGlobal:
 		p.lex.next()
 		g := p.mod.GlobalByName(t.text)
@@ -411,16 +421,25 @@ func (p *parser) parseTypedOperand() (Value, error) {
 	return p.parseOperand(ty)
 }
 
-func (p *parser) localRef(name string, ty Type) Value {
-	if v, ok := p.vals[name]; ok {
+func (p *parser) localRef(t token, ty Type) Value {
+	if v, ok := p.vals[t.text]; ok {
 		return v
 	}
-	if r, ok := p.fwd[name]; ok {
+	if r, ok := p.fwd[t.text]; ok {
 		return r
 	}
-	r := &forwardRef{ty: ty, name: name}
-	p.fwd[name] = r
+	r := &forwardRef{ty: ty, name: t.text}
+	p.fwd[t.text] = r
+	p.early = append(p.early, earlyUse{tok: t})
 	return r
+}
+
+// blockUse resolves a branch or phi reference to the block labelled t.
+func (p *parser) blockUse(t token) *Block {
+	if _, ok := p.blocks[t.text]; !ok {
+		p.early = append(p.early, earlyUse{tok: t, block: true})
+	}
+	return p.blockRef(t.text)
 }
 
 func (p *parser) blockRef(name string) *Block {
@@ -447,6 +466,7 @@ func (p *parser) parseFunc() error {
 	p.vals = map[string]Value{}
 	p.fwd = map[string]*forwardRef{}
 	p.blocks = map[string]*Block{}
+	p.early = p.early[:0]
 
 	if err := p.expectPunct("("); err != nil {
 		return err
@@ -527,20 +547,12 @@ func (p *parser) parseFunc() error {
 		}
 	}
 
-	for name := range p.fwd {
-		return fmt.Errorf("ir: undefined value %%%s in @%s", name, fn.Nam)
-	}
-	// Referenced-but-never-defined blocks.
-	for name, b := range p.blocks {
-		found := false
-		for _, fb := range fn.Blocks {
-			if fb == b {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("ir: undefined block %%%s in @%s", name, fn.Nam)
+	for _, u := range p.early {
+		switch {
+		case u.block && !defined[u.tok.text]:
+			return p.errf(u.tok, "undefined block %%%s in @%s", u.tok.text, fn.Nam)
+		case !u.block && p.fwd[u.tok.text] != nil:
+			return p.errf(u.tok, "undefined value %%%s in @%s", u.tok.text, fn.Nam)
 		}
 	}
 	p.mod.AddFunc(fn)
@@ -680,7 +692,7 @@ func (p *parser) parseInstrBody(op Op, opTok token) (*Instr, error) {
 				return nil, err
 			}
 			in.AddArg(v)
-			in.AddBlockArg(p.blockRef(bt.text))
+			in.AddBlockArg(p.blockUse(bt))
 			if !p.acceptPunct(",") {
 				break
 			}
@@ -822,7 +834,7 @@ func (p *parser) parseInstrBody(op Op, opTok token) (*Instr, error) {
 				return nil, p.errf(bt, "expected block label")
 			}
 			in := NewInstr(OpBr, Void)
-			in.AddBlockArg(p.blockRef(bt.text))
+			in.AddBlockArg(p.blockUse(bt))
 			return in, nil
 		}
 		cond, err := p.parseTypedOperand()
@@ -844,8 +856,8 @@ func (p *parser) parseInstrBody(op Op, opTok token) (*Instr, error) {
 		}
 		t2 := p.lex.next()
 		in := NewInstr(OpBr, Void, cond)
-		in.AddBlockArg(p.blockRef(t1.text))
-		in.AddBlockArg(p.blockRef(t2.text))
+		in.AddBlockArg(p.blockUse(t1))
+		in.AddBlockArg(p.blockUse(t2))
 		return in, nil
 
 	case op == OpRet:

@@ -4,8 +4,8 @@ import "testing"
 
 // TestInstrStringGolden pins the textual form of every instruction
 // shape byte for byte. The printer's output is the memo's first-level
-// key and the content of -cache-dir snapshots, so any drift here would
-// silently invalidate both.
+// key, so any drift here would silently change which functions share
+// a memo entry.
 func TestInstrStringGolden(t *testing.T) {
 	a, b := NewParam("a", I8), NewParam("b", I8)
 	p := NewParam("p", Ptr)

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tameir/internal/cache"
 	"tameir/internal/core"
 	"tameir/internal/ir"
 	"tameir/internal/parallel"
@@ -106,16 +105,6 @@ type Campaign struct {
 	// means refine.DefaultMemoEntries; negative disables memoization.
 	MemoEntries int
 
-	// CacheDir, when non-empty, warm-starts the campaign from the
-	// persistent snapshots in that directory (behaviour-set memo +
-	// bytecode lowering metadata) and writes refreshed snapshots back
-	// after the run. Snapshots are versioned and fingerprinted
-	// (core.SemanticsFingerprint); stale or mismatched ones are
-	// rejected wholesale, so a warm campaign's verdict stream is
-	// byte-identical to a cold one (TestCacheDirWarmMatchesCold).
-	// Falls back to Refine.CacheDir when empty.
-	CacheDir string
-
 	// Reduce pushes every refuted finding through the automatic
 	// reducer before it is recorded or streamed: greedy instruction /
 	// branch / operand shrinking, re-checking the refinement verdict
@@ -130,21 +119,18 @@ type Campaign struct {
 	// finding (0 means DefaultReduceMaxSteps).
 	ReduceMaxSteps int
 
-	// TracePhases enables fine-grained span telemetry: one span per
-	// shard enumeration (span="campaign/s<shard>") plus the per-phase
-	// spans inside every refine.Check (compile and per-input behaviour
-	// sweeps). Off by default: the spans are cheap but still cost
-	// clock reads on the hot path, so benchmark rows (E11/E12) run
-	// without them. Requires Telemetry.
-	TracePhases bool
-
 	// Trace, when non-nil, is the flight recorder: shard spans, check
 	// phases, per-pass spans, tier promotions, program-cache hit/miss
 	// instants, and one provenance-carrying "finding" instant per
 	// finding all land in it, on one track per shard (plus a "campaign"
-	// track for run-level events). Implies the TracePhases span sites
-	// regardless of that flag. All trace data is scheduling-class: the
-	// timeline is never reproducible across runs.
+	// track for run-level events). It also turns on the span sites
+	// themselves: one span per shard enumeration
+	// (span="campaign/s<shard>"), the per-phase spans inside every
+	// refine.Check and one span per pass run, whose span_wall_ns
+	// histograms reach Telemetry when that is set too. Untraced
+	// campaigns skip them: the spans cost clock reads on the hot path.
+	// All trace data is scheduling-class: the timeline is never
+	// reproducible across runs.
 	Trace *trace.Recorder
 
 	// Seed is the workload RNG seed, recorded in finding provenance
@@ -266,9 +252,6 @@ type Provenance struct {
 	Seed   int64
 	// Tier is the execution-tier mode the checker ran under.
 	Tier string
-	// DiskWarm is whether the campaign warm-started from persistent
-	// cache snapshots.
-	DiskWarm bool
 }
 
 // PassTally is one pass's slice of a multi-pass campaign.
@@ -327,19 +310,6 @@ type Stats struct {
 	MemoLookups   uint64
 	MemoEvictions uint64
 	MemoSets      int
-
-	// DiskLoads / DiskHits / DiskStaleRejects are the persistent
-	// -cache-dir counters: snapshot files loaded in full, memo hits
-	// served by disk-loaded entries, snapshots rejected wholesale. All
-	// zero without CacheDir.
-	DiskLoads        uint64
-	DiskHits         uint64
-	DiskStaleRejects uint64
-	// DiskErr records a failed snapshot load or save (I/O, not
-	// staleness — staleness is a counted, non-error cold start). The
-	// campaign's verdicts are unaffected; drivers surface it as a
-	// warning.
-	DiskErr error
 
 	// Opt merges the per-shard pass-manager statistics in shard order
 	// (nil unless the campaign ran an instrumented Pipeline).
@@ -599,18 +569,6 @@ func (c Campaign) Run() Stats {
 		memo = refine.NewMemo(c.MemoEntries)
 	}
 
-	// Warm start: install last run's snapshots before any shard runs.
-	// A nil disk (no CacheDir) is a no-op throughout.
-	cacheDir := c.CacheDir
-	if cacheDir == "" {
-		cacheDir = c.Refine.CacheDir
-	}
-	disk := refine.OpenDiskCache(cacheDir, memo)
-	var diskErr error
-	if _, err := disk.Load(); err != nil {
-		diskErr = err
-	}
-
 	progress := newProgressSink(c.Progress, c.ProgressEvery, shards*epochs)
 	var poolPM *parallel.PoolMetrics
 	var runSpan *telemetry.Span
@@ -629,7 +587,7 @@ func (c Campaign) Run() Stats {
 		scope := telemetry.NewScope(sreg, "campaign")
 		// Run-level events go on the track after the last shard.
 		runSpan = scope.WithTrace(c.Trace, shards).Start("run")
-		if c.TracePhases || c.Trace != nil {
+		if c.Trace != nil {
 			shardScope = scope
 			checkScope = telemetry.NewScope(sreg, "check")
 			passScope = telemetry.NewScope(sreg, "pass")
@@ -663,10 +621,9 @@ func (c Campaign) Run() Stats {
 	}
 
 	prov := Provenance{
-		Source:   src.Name(),
-		Seed:     c.Seed,
-		Tier:     c.Refine.Tier.Mode.String(),
-		DiskWarm: disk.Stats().Loads > 0,
+		Source: src.Name(),
+		Seed:   c.Seed,
+		Tier:   c.Refine.Tier.Mode.String(),
 	}
 
 	// The reducer re-verifies every shrunken candidate against the
@@ -739,14 +696,6 @@ func (c Campaign) Run() Stats {
 		out.MemoEvictions = memo.Evictions()
 		out.MemoSets = memo.Len()
 	}
-	if disk != nil {
-		if err := disk.Save(); err != nil && diskErr == nil {
-			diskErr = err
-		}
-		ds := disk.Stats()
-		out.DiskLoads, out.DiskHits, out.DiskStaleRejects = ds.Loads, ds.Hits, ds.StaleRejects
-		out.DiskErr = diskErr
-	}
 	out.Source = src.Name()
 	out.Epochs = epochs
 	corpus := false
@@ -765,7 +714,7 @@ func (c Campaign) Run() Stats {
 		c.Trace.Counter(shards, "findings", int64(out.Refuted))
 		c.Trace.Counter(shards, "funcs", int64(out.Funcs))
 	}
-	c.publish(out, shards*epochs, &check, prog, poolPM, memo != nil, disk != nil, corpus)
+	c.publish(out, shards*epochs, &check, prog, poolPM, memo != nil, corpus)
 	if c.Telemetry != nil {
 		if wd != nil {
 			c.Telemetry.Counter("watchdog_stalls_total", telemetry.Scheduling,
@@ -801,9 +750,7 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 	if budget > 0 && max == 0 {
 		return shardStats{} // budget exhausted before this shard
 	}
-	// Bind this shard's events to its own recorder track. WithTrace is
-	// a no-op when the campaign has no recorder, so the TracePhases-
-	// only configuration keeps its histogram-only spans.
+	// Bind this shard's events to its own recorder track.
 	shardScope = shardScope.WithTrace(c.Trace, s)
 	checkScope = checkScope.WithTrace(c.Trace, s)
 	passScope = passScope.WithTrace(c.Trace, s)
@@ -985,7 +932,6 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 					"tier", p.Tier,
 					"memo_lookups", strconv.FormatUint(memoLookups, 10),
 					"memo_hits", strconv.FormatUint(memoHits, 10),
-					"disk_warm", strconv.FormatBool(p.DiskWarm),
 					"reduce_steps", strconv.Itoa(fd.ReduceSteps))
 				if streamer != nil {
 					streamer.emit(s, fd)
@@ -1036,7 +982,7 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 // set first is a race whenever more than one runs — and the class must
 // not depend on the worker count. The program cache counts as memo
 // traffic: Check compiles a side only at its first memo miss.
-func (c Campaign) publish(out Stats, shardRuns int, check *refine.CheckMetrics, prog core.ProgramCacheStats, poolPM *parallel.PoolMetrics, sharedMemo, diskCache, corpus bool) {
+func (c Campaign) publish(out Stats, shardRuns int, check *refine.CheckMetrics, prog core.ProgramCacheStats, poolPM *parallel.PoolMetrics, sharedMemo, corpus bool) {
 	reg := c.Telemetry
 	if reg == nil {
 		return
@@ -1082,16 +1028,6 @@ func (c Campaign) publish(out Stats, shardRuns int, check *refine.CheckMetrics, 
 		reg.Counter("memo_hits_total", telemetry.Scheduling, "shared-memo hits").Add(out.MemoHits)
 		reg.Counter("memo_evictions_total", telemetry.Scheduling, "shared-memo function entries evicted, with all their sets").Add(out.MemoEvictions)
 		reg.Gauge("memo_sets", telemetry.Scheduling, "behaviour sets resident in the shared memo").Set(int64(out.MemoSets))
-	}
-	if diskCache {
-		// Which lookups land on disk-loaded entries depends on worker
-		// interleaving (and residency on eviction), so the disk split is
-		// Scheduling like every shared-memo counter.
-		cache.DiskStats{
-			Loads:        out.DiskLoads,
-			Hits:         out.DiskHits,
-			StaleRejects: out.DiskStaleRejects,
-		}.Publish(reg, telemetry.Scheduling)
 	}
 	poolPM.Publish(reg)
 	if out.Opt != nil {

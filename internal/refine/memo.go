@@ -58,18 +58,13 @@ import (
 // entry in their identity cache see it marked dead and re-resolve it
 // by key. An eviction can cost a recomputation but never changes a
 // verdict (TestMemoEvictionKeepsVerdicts).
-//
-// A memo can also be snapshotted to disk and reloaded by a later
-// process (Snapshot/LoadSnapshot in memosnap.go); entries that arrived
-// from a snapshot keep a provenance bit so warm-start hits are
-// countable as cache_disk_hits_total.
 type Memo struct {
 	funcs *cache.StringMap[*memoFuncEntry]
 	clock *cache.Clock[*memoFuncEntry]
 
-	hits, lookups, diskHits atomic.Uint64
-	sets                    atomic.Int64 // resident behaviour sets
-	maxSets                 int64        // set budget; see shed
+	hits, lookups atomic.Uint64
+	sets          atomic.Int64 // resident behaviour sets
+	maxSets       int64        // set budget; see shed
 }
 
 // memoShardCount is the lock-striping factor. 64 keeps contention
@@ -96,9 +91,8 @@ type memoFuncEntry struct {
 }
 
 type memoSet struct {
-	set  BehaviorSet
-	ok   bool // the slot holds a set (byIdx has gaps)
-	disk bool // loaded from a -cache-dir snapshot
+	set BehaviorSet
+	ok  bool // the slot holds a set (byIdx has gaps)
 }
 
 // MemoSession is one goroutine's handle on a shared Memo. It carries
@@ -191,10 +185,6 @@ func (m *Memo) Lookups() uint64 { return m.lookups.Load() }
 // Evictions returns the number of per-function entries evicted by the
 // clock, to admit a new entry or to meet the set budget.
 func (m *Memo) Evictions() uint64 { return m.clock.Evictions() }
-
-// DiskHits returns the number of hits served by entries that arrived
-// from a -cache-dir snapshot rather than this process's own work.
-func (m *Memo) DiskHits() uint64 { return m.diskHits.Load() }
 
 // Len returns the number of cached behaviour sets (approximate while
 // concurrent stores are in flight). It stays within the set budget
@@ -306,15 +296,12 @@ func (s *MemoSession) funcEntry(fn *ir.Func, mo memoOpts) *memoFuncEntry {
 // appendMemoFuncKey appends the first-level key: the semantics/bounds
 // fingerprint followed by the canonical function text. Everything the
 // behaviour set (and Check's ordinal enumeration) depends on is in
-// here, which is also what makes the key stable across processes —
-// the property the snapshot layer rides on.
+// here, so equal keys name equal behaviour sets.
 func appendMemoFuncKey(b []byte, fn *ir.Func, mo memoOpts) []byte {
 	// srcMode and inputBits must be part of the rendered key, not just
 	// the identity-cache struct: they steer Check's input enumeration,
 	// so the byIdx ordinal space is only stable within one
 	// (srcMode, inputBits) regime.
-	// The fields, their order and the '|' separators are part of the
-	// -cache-dir snapshot keys: keep them fixed.
 	b = strconv.AppendUint(b, uint64(mo.opts.Mode), 10)
 	b = strconv.AppendUint(append(b, '|'), uint64(mo.opts.BranchPoison), 10)
 	b = strconv.AppendUint(append(b, '|'), uint64(mo.opts.SelectPoisonCond), 10)
@@ -388,9 +375,6 @@ func (s *MemoSession) lookup(sd *side, args []core.Value, ordinal int, cfg *Conf
 		return ref, BehaviorSet{}, false
 	}
 	s.m.hits.Add(1)
-	if hit.disk {
-		s.m.diskHits.Add(1)
-	}
 	return ref, hit.set, true
 }
 

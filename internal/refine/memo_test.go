@@ -279,9 +279,9 @@ func TestMemoConcurrentSessions(t *testing.T) {
 }
 
 // TestMemoFuncKeyGolden pins the first-level key text byte for byte:
-// -cache-dir snapshots are keyed by it, so any drift in the option
-// prefix or the function printer would silently turn every warm start
-// cold.
+// every memo entry is keyed by it, so any drift in the option prefix or
+// the function printer shows up here before it can split or merge memo
+// entries.
 func TestMemoFuncKeyGolden(t *testing.T) {
 	fn := ir.MustParseFunc(memoPairs[0].src)
 	const text = "define i1 @f(i2 %a, i2 %b) {\nentry:\n  %add = add nsw i2 %a, %b\n  %cmp = icmp sgt i2 %add, %a\n  ret i1 %cmp\n}\n"

@@ -188,20 +188,11 @@ type Config struct {
 	// behaviour-set derivation, and "compile" around a side's executor
 	// setup, nested in the behaviours span of its first memo miss.
 	// The spans cost a clock read per phase on the hot path, so
-	// campaigns leave this nil unless -trace-phases is set. A traced
+	// campaigns leave this nil unless they are traced (-trace). A traced
 	// scope (Scope.WithTrace) additionally lands the spans in the
 	// flight recorder and emits "tier_promote" instants when an
 	// executor switches to the tier-2 runner.
 	Trace *telemetry.Scope
-
-	// CacheDir, when non-empty, names a directory of persistent cache
-	// snapshots (internal/cache) for warm starts across processes.
-	// Check itself never touches the directory — it is carried here so
-	// drivers that receive a Config (campaigns, CLIs) agree on one
-	// location; they open it via OpenDiskCache around their Memo's
-	// lifetime. Snapshots are fingerprinted and rejected wholesale on
-	// mismatch, so a warm start can never change a verdict.
-	CacheDir string
 }
 
 // DefaultConfig is tuned for the Section 6 experiment: 2-bit

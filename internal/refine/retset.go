@@ -85,11 +85,6 @@ func newRetDomain(ty ir.Type) *retDomain {
 	return d
 }
 
-// full is the mask holding every value of the domain.
-func (d *retDomain) full() uint64 {
-	return ^uint64(0) >> (64 - len(d.keys))
-}
-
 // value unpacks index i into a concrete value of the domain's type.
 func (d *retDomain) value(i uint64) core.Value {
 	lanes := make([]core.Scalar, d.ty.NumElems())

@@ -356,3 +356,8 @@ entry:
 		t.Fatalf("%d memo hits, want every lookup to miss", cfg.Memo.Hits())
 	}
 }
+
+// full is the mask holding every value of the domain.
+func (d *retDomain) full() uint64 {
+	return ^uint64(0) >> (64 - len(d.keys))
+}

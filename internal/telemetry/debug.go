@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
-	"time"
 
 	"tameir/internal/telemetry/trace"
 )
@@ -16,11 +15,10 @@ import (
 //
 //	/metrics          text exposition (deterministic + scheduling)
 //	/metrics.json     JSON snapshot
-//	/metrics/history  JSON array of periodic snapshots (newest last)
 //	/debug/trace      Chrome trace-event snapshot of the flight
 //	                  recorder (404 when no recorder is attached)
 //	/debug/pprof/...  profiles
-func DebugMux(reg *Registry, hist *SnapshotHistory, rec *trace.Recorder) *http.ServeMux {
+func DebugMux(reg *Registry, rec *trace.Recorder) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -30,12 +28,6 @@ func DebugMux(reg *Registry, hist *SnapshotHistory, rec *trace.Recorder) *http.S
 		w.Header().Set("Content-Type", "application/json")
 		_ = reg.Snapshot().WriteJSON(w)
 	})
-	if hist != nil {
-		mux.HandleFunc("/metrics/history", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			hist.WriteJSON(w)
-		})
-	}
 	if rec != nil {
 		mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
@@ -50,118 +42,40 @@ func DebugMux(reg *Registry, hist *SnapshotHistory, rec *trace.Recorder) *http.S
 	return mux
 }
 
-// SnapshotHistory is a bounded ring of timestamped snapshots, filled
-// by a periodic collector and served at /metrics/history so a
-// long-running daemon's recent trajectory survives scrape gaps.
-type SnapshotHistory struct {
-	mu   sync.Mutex
-	ring []timedSnapshot
-	next int
-	full bool
-}
-
-type timedSnapshot struct {
-	At       time.Time `json:"at"`
-	Snapshot Snapshot  `json:"snapshot"`
-}
-
-// NewSnapshotHistory returns a ring holding up to n snapshots
-// (default 60 when n <= 0).
-func NewSnapshotHistory(n int) *SnapshotHistory {
-	if n <= 0 {
-		n = 60
-	}
-	return &SnapshotHistory{ring: make([]timedSnapshot, n)}
-}
-
-// Record appends a snapshot, evicting the oldest when full.
-func (h *SnapshotHistory) Record(s Snapshot) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.ring[h.next] = timedSnapshot{At: time.Now(), Snapshot: s}
-	h.next = (h.next + 1) % len(h.ring)
-	if h.next == 0 {
-		h.full = true
-	}
-}
-
-// WriteJSON writes the history oldest-first as a JSON array.
-func (h *SnapshotHistory) WriteJSON(w http.ResponseWriter) {
-	h.mu.Lock()
-	var ordered []timedSnapshot
-	if h.full {
-		ordered = append(ordered, h.ring[h.next:]...)
-	}
-	ordered = append(ordered, h.ring[:h.next]...)
-	h.mu.Unlock()
-	fmt.Fprint(w, "[")
-	for i, ts := range ordered {
-		if i > 0 {
-			fmt.Fprint(w, ",")
-		}
-		fmt.Fprintf(w, `{"at":%q,"snapshot":`, ts.At.Format(time.RFC3339Nano))
-		_ = ts.Snapshot.WriteJSON(w)
-		fmt.Fprint(w, "}")
-	}
-	fmt.Fprint(w, "]")
-}
-
-// DebugServer is a running -debug-addr listener plus its periodic
-// snapshot collector.
+// DebugServer is a running -debug-addr listener.
 type DebugServer struct {
 	Addr string // actual listen address (useful with ":0")
 
 	srv     *http.Server
-	stop    chan struct{}
 	done    sync.WaitGroup
 	closeMu sync.Once
 }
 
-// StartDebugServer listens on addr and serves DebugMux(reg) in the
-// background, recording a snapshot into a ring-buffered history every
-// interval (default 5s when interval <= 0; ring <= 0 means the
-// default NewSnapshotHistory depth). rec, when non-nil, is served at
-// /debug/trace. Close shuts both down.
-func StartDebugServer(addr string, reg *Registry, interval time.Duration, ring int, rec *trace.Recorder) (*DebugServer, error) {
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
+// StartDebugServer listens on addr and serves DebugMux(reg, rec) in
+// the background. rec, when non-nil, is served at /debug/trace. Close
+// shuts the listener down.
+func StartDebugServer(addr string, reg *Registry, rec *trace.Recorder) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: debug server listen %s: %w", addr, err)
 	}
-	hist := NewSnapshotHistory(ring)
 	ds := &DebugServer{
 		Addr: ln.Addr().String(),
-		srv:  &http.Server{Handler: DebugMux(reg, hist, rec)},
-		stop: make(chan struct{}),
+		srv:  &http.Server{Handler: DebugMux(reg, rec)},
 	}
-	ds.done.Add(2)
+	ds.done.Add(1)
 	go func() {
 		defer ds.done.Done()
 		_ = ds.srv.Serve(ln)
 	}()
-	go func() {
-		defer ds.done.Done()
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				hist.Record(reg.Snapshot())
-			case <-ds.stop:
-				return
-			}
-		}
-	}()
 	return ds, nil
 }
 
-// Close stops the collector and the listener. Safe to call twice.
+// Close stops the listener and waits for it to exit. Safe to call
+// twice.
 func (ds *DebugServer) Close() error {
 	var err error
 	ds.closeMu.Do(func() {
-		close(ds.stop)
 		err = ds.srv.Close()
 		ds.done.Wait()
 	})
