@@ -38,7 +38,9 @@ check: build vet test race
 # registry's lock-free hot paths — then a quick E12 smoke across all
 # three tiers and both worker counts (exits nonzero if any engine
 # row's behaviour hash diverges from the interpreted baseline; its
-# rows land in BENCH_exec.json for the workflow artifact), then the
+# rows land in the untracked ci-bench/exec.json for the workflow
+# artifact, so a CI run leaves the committed BENCH_exec.json alone and
+# the tree clean), then the
 # §7 tables with E7's simulated run times (about 1.5 s; exits nonzero
 # if any program's checksum is a MISMATCH or a SIM ERROR), then the
 # quick E13 workload rows (exhaustive, mutate with the reducer, wide8:
@@ -69,10 +71,11 @@ check: build vet test race
 # workload and trace gates: the -O2 passes survive exhaustive
 # refinement checking of every 2-instruction i2 freeze-dialect function
 # (250000 candidates, about 8 s on 2 CPUs), so campaign_refuted_total
-# must be exactly 0. The same run must keep the shared memo paying:
-# about half of its lookups hit (0.497 when this gate was set), so a
-# behaviour-set or key representation that silently stops hits fails
-# the memo_hits_total/memo_lookups_total>=0.45 floor.
+# must be exactly 0. The same run must keep the shared memo paying.
+# The memo serves targets only and counts one lookup per target input
+# served; 0.971 of them hit when this gate was set, so a vector or key
+# representation that silently loses hits — even a third of them —
+# fails the memo_hits_total/memo_lookups_total>=0.90 floor.
 #
 # The tame-opt step runs with -time-passes so the span-based per-pass
 # timing path (the only per-pass clock) runs in CI too.
@@ -80,7 +83,8 @@ ci: vet test
 	$(GO) test -race ./internal/passes ./internal/optfuzz
 	$(GO) test -race -run 'Memo|Compiled|ProgramShared|ExecTwins|Lowering|Fold|Superblock|TierPromotion' ./internal/refine ./internal/core ./internal/core/bytecode ./internal/bench
 	$(GO) test -race -run 'TelemetryRaceStress' ./internal/telemetry
-	$(GO) run ./cmd/tame-bench -exp exec -quick -json BENCH_exec.json
+	mkdir -p ci-bench
+	$(GO) run ./cmd/tame-bench -exp exec -quick -json ci-bench/exec.json
 	$(GO) run ./cmd/tame-bench -exp runtime -quick
 	$(GO) run ./cmd/tame-bench -exp workload -quick
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics - \
@@ -92,7 +96,7 @@ ci: vet test
 	$(GO) run ./cmd/tame-fuzz -poison-oracle -instrs 1 -n 0 -sem freeze -workers 2 -metrics - \
 	  | $(GO) run ./cmd/tame-metrics -check 'poison_oracle_funcs_total>0,poison_oracle_claims_total>0,poison_oracle_execs_total>0,poison_oracle_violations_total=0'
 	$(GO) run ./cmd/tame-fuzz -validate -sem freeze -instrs 2 -n 250000 -workers 2 -metrics - \
-	  | $(GO) run ./cmd/tame-metrics -check 'campaign_refuted_total=0,memo_hits_total/memo_lookups_total>=0.45'
+	  | $(GO) run ./cmd/tame-metrics -check 'campaign_refuted_total=0,memo_hits_total/memo_lookups_total>=0.90'
 	$(MAKE) ci-workload
 	$(MAKE) ci-trace
 

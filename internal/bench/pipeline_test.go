@@ -39,7 +39,7 @@ func TestPipelineMatchesSerial(t *testing.T) {
 
 // ValidateParallel over the full space must reproduce the serial E3
 // table exactly — rows, verdicts, and first counterexamples — while
-// hitting the memo on the repeated source derivations.
+// hitting the memo on the repeated targets.
 func TestValidateParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("validation is slow")
@@ -52,7 +52,7 @@ func TestValidateParallelMatchesSerial(t *testing.T) {
 				fixed, serial, rows)
 		}
 		if st.HitRate() < 0.5 {
-			t.Errorf("fixed=%v: multi-pass hit rate %.1f%%, want >50%%: the five passes should share source sets",
+			t.Errorf("fixed=%v: multi-pass hit rate %.1f%%, want >50%%: the passes' targets should repeat across candidates",
 				fixed, 100*st.HitRate())
 		}
 	}

@@ -137,9 +137,11 @@ func Validate(fixed bool, numInstrs, maxFuncs int, reg *telemetry.Registry) []Va
 // and all verdicts are identical to Validate's for any worker count
 // (workers 0 means one per CPU) when maxFuncs is 0; a positive
 // maxFuncs is split across shards rather than truncating serial order,
-// so counts may differ from Validate's prefix. Sharing one memo across
-// the five passes is what the memoization is for: each candidate's
-// source behaviour sets are derived once and hit four more times.
+// so counts may differ from Validate's prefix. Checking the five
+// passes in one campaign is what the memoization is for: each
+// candidate's source behaviour sets are derived once and served four
+// more times from the worker's session, and the passes' targets
+// repeat across candidates in the shared memo.
 func ValidateParallel(fixed bool, numInstrs, maxFuncs, workers int, reg *telemetry.Registry) ([]ValidationRow, optfuzz.Stats) {
 	var sem core.Options
 	var pcfg *passes.Config

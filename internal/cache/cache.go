@@ -17,7 +17,6 @@
 package cache
 
 import (
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -128,19 +127,23 @@ func (c *Clock[R]) Evict(recentlyUsed func(R) bool, evict func(R)) bool {
 // StringHash is the layer's shared string hash (FNV-32a), exposed so
 // instantiations that shard by string agree with StringMap's stripe
 // selection.
-func StringHash(key string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return h.Sum32()
+func StringHash(key string) uint32 { return fnv32a(key) }
+
+// fnv32a hashes key with FNV-32a; taking a byte slice as well lets a
+// probe with a rendered key hash it without converting it to a string.
+func fnv32a[K string | []byte](key K) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return h
 }
 
-// StringMap is a lock-striped, string-keyed get-or-create map for
-// values that carry their own stripe-guarded mutable state: the
-// constructor receives the stripe mutex so the value can keep it and
-// guard its interior with it afterwards (refine.Memo's per-function
-// entries do exactly that). The map never removes an entry on its own;
-// bounded residency belongs to the owner, which admits each created
-// entry to a Clock and calls Delete from the Clock's evict callback.
+// StringMap is a lock-striped, string-keyed get-or-create map. The map
+// never removes an entry on its own; bounded residency belongs to the
+// owner, which admits each created entry to a Clock and calls Delete
+// from the Clock's evict callback (refine.Memo does exactly that).
 type StringMap[V any] struct {
 	stripes []mapStripe[V]
 }
@@ -163,19 +166,28 @@ func NewStringMap[V any](n int) *StringMap[V] {
 	return s
 }
 
-func (s *StringMap[V]) stripe(key string) *mapStripe[V] {
-	return &s.stripes[StringHash(key)%uint32(len(s.stripes))]
+func stripeOf[V any, K string | []byte](s *StringMap[V], key K) *mapStripe[V] {
+	return &s.stripes[fnv32a(key)%uint32(len(s.stripes))]
+}
+
+// Get returns the value under key, if any. The key is a byte slice so
+// a probe with a freshly rendered key allocates nothing.
+func (s *StringMap[V]) Get(key []byte) (v V, ok bool) {
+	st := stripeOf(s, key)
+	st.mu.Lock()
+	v, ok = st.m[string(key)]
+	st.mu.Unlock()
+	return v, ok
 }
 
 // GetOrCreate returns the value under key, calling mk under the stripe
 // lock to create it on first use; created reports that this call did.
-// mk receives the stripe mutex that will guard the entry from then on.
-func (s *StringMap[V]) GetOrCreate(key string, mk func(mu *sync.Mutex) V) (v V, created bool) {
-	st := s.stripe(key)
+func (s *StringMap[V]) GetOrCreate(key string, mk func() V) (v V, created bool) {
+	st := stripeOf(s, key)
 	st.mu.Lock()
 	v, ok := st.m[key]
 	if !ok {
-		v = mk(&st.mu)
+		v = mk()
 		st.m[key] = v
 	}
 	st.mu.Unlock()
@@ -185,7 +197,7 @@ func (s *StringMap[V]) GetOrCreate(key string, mk func(mu *sync.Mutex) V) (v V, 
 // Delete removes the entry under key, if any. It takes the stripe
 // lock, so callers must not hold it.
 func (s *StringMap[V]) Delete(key string) {
-	st := s.stripe(key)
+	st := stripeOf(s, key)
 	st.mu.Lock()
 	delete(st.m, key)
 	st.mu.Unlock()
@@ -204,8 +216,7 @@ func (s *StringMap[V]) Len() int {
 	return n
 }
 
-// Range visits every entry with its stripe lock held, so f may read
-// stripe-guarded interior state. Stripes are visited in index order,
+// Range visits every entry with its stripe lock held. Stripes are visited in index order,
 // keys within a stripe in map order; callers that need deterministic
 // output sort what they collect.
 func (s *StringMap[V]) Range(f func(key string, v V)) {

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"testing"
 
@@ -154,10 +155,7 @@ func TestTableSingleShard(t *testing.T) {
 func TestStringMapGetOrCreate(t *testing.T) {
 	m := NewStringMap[*int](16)
 	made := 0
-	mk := func(mu *sync.Mutex) *int {
-		if mu == nil {
-			t.Fatal("mk must receive the stripe mutex")
-		}
+	mk := func() *int {
 		made++
 		return new(int)
 	}
@@ -176,7 +174,7 @@ func TestStringMapGetOrCreate(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], creators[i] = m.GetOrCreate("race", func(mu *sync.Mutex) *int { return new(int) })
+			got[i], creators[i] = m.GetOrCreate("race", func() *int { return new(int) })
 		}(i)
 	}
 	wg.Wait()
@@ -197,6 +195,12 @@ func TestStringMapGetOrCreate(t *testing.T) {
 	m.Range(func(key string, v *int) { seen[key] = true })
 	if !seen["k"] || !seen["race"] || len(seen) != 2 {
 		t.Fatalf("Range saw %v", seen)
+	}
+	if q, ok := m.Get([]byte("k")); !ok || q != p {
+		t.Fatal("Get missed an entry GetOrCreate made")
+	}
+	if _, ok := m.Get([]byte("absent")); ok {
+		t.Fatal("Get found an absent key")
 	}
 
 	m.Delete("k")
@@ -237,6 +241,11 @@ func TestStringHashStable(t *testing.T) {
 		h := StringHash(k)
 		if h != StringHash(k) {
 			t.Fatal("StringHash not deterministic")
+		}
+		ref := fnv.New32a()
+		ref.Write([]byte(k))
+		if h != ref.Sum32() || h != fnv32a([]byte(k)) {
+			t.Fatalf("StringHash(%q) = %#x, want FNV-32a %#x for strings and bytes alike", k, h, ref.Sum32())
 		}
 		seen[h] = true
 	}

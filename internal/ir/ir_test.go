@@ -78,6 +78,65 @@ func TestDuplicateUseCounting(t *testing.T) {
 	}
 }
 
+// TestUsersOrderAndMultiplicity pins the use lists through every way
+// they change — AddArg, SetArg, ReplaceAllUsesWith and erasure — with
+// duplicate operands: NumUses counts operand slots, and Users lists
+// each user once, in first-use order.
+func TestUsersOrderAndMultiplicity(t *testing.T) {
+	x, z := NewParam("x", I32), NewParam("z", I32)
+	f := NewFunc("g", I32, x, z)
+	entry := f.NewBlock("entry")
+	bd := NewBuilder(entry)
+	p := bd.Add(x, z) // x: p
+	q := bd.Mul(z, x) // x: p q
+	r := bd.Add(x, x) // x: p q r r
+	s := bd.Xor(q, r)
+	bd.Ret(s)
+	check := func(step string, v interface {
+		NumUses() int
+		Users() []*Instr
+	}, uses int, users ...*Instr) {
+		t.Helper()
+		if got := v.NumUses(); got != uses {
+			t.Errorf("%s: NumUses = %d, want %d", step, got, uses)
+		}
+		got := v.Users()
+		if len(got) != len(users) {
+			t.Fatalf("%s: %d users, want %d", step, len(got), len(users))
+		}
+		for i := range users {
+			if got[i] != users[i] {
+				t.Errorf("%s: user %d is %s, want %s", step, i, got[i].Ident(), users[i].Ident())
+			}
+		}
+	}
+	check("built", x, 4, p, q, r)
+
+	p.AddArg(x) // an extra slot on an existing user keeps its place
+	check("AddArg", x, 5, p, q, r)
+
+	p.SetArg(0, ConstInt(I32, 1)) // p still uses x in its added slot
+	check("SetArg one of two", x, 4, p, q, r)
+	p.SetArg(2, z)
+	check("SetArg the last", x, 3, q, r)
+	q.SetArg(1, x) // already x: no change
+	check("SetArg same value", x, 3, q, r)
+
+	r.SetArg(0, z) // r keeps one use of x and its position
+	check("SetArg duplicate", x, 2, q, r)
+	check("z after SetArgs", z, 4, p, q, r)
+
+	r.ReplaceAllUsesWith(q) // s: xor q, q
+	check("RAUW target", q, 2, s)
+	check("RAUW source", r, 0)
+
+	entry.Erase(r)
+	check("erase", x, 1, q)
+	check("z after erase", z, 3, p, q)
+	entry.Erase(p)
+	check("erase duplicate user", z, 1, q)
+}
+
 func TestVerifyRejectsBadIR(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -256,6 +315,14 @@ func TestParseErrors(t *testing.T) {
 			"ir: line 3: undefined value %q in @f"},
 		{"phi block", "define i2 @f() {\nentry:\n  br label %m\nm:\n  %p = phi i2 [ 0, %entry ], [ 1, %gone ]\n  ret i2 %p\n}",
 			"ir: line 5: undefined block %gone in @f"},
+		// A conditional branch's targets must be block labels, like an
+		// unconditional branch's: a bare word or a number is not one.
+		{"bare true label", "define i2 @f(i1 %c) {\nentry:\n  br i1 %c, label yes, label %no\nyes:\n  ret i2 0\nno:\n  ret i2 1\n}",
+			"ir: line 3: expected block label"},
+		{"numeric false label", "define i2 @f(i1 %c) {\nentry:\n  br i1 %c, label %yes, label 7\nyes:\n  ret i2 0\n}",
+			"ir: line 3: expected block label"},
+		{"bare unconditional label", "define i2 @f() {\nentry:\n  br label next\nnext:\n  ret i2 0\n}",
+			"ir: line 3: expected block label"},
 	}
 	for _, tc := range exact {
 		// Repeat: map iteration order differs between runs, so a

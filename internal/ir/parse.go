@@ -848,6 +848,9 @@ func (p *parser) parseInstrBody(op Op, opTok token) (*Instr, error) {
 			return nil, err
 		}
 		t1 := p.lex.next()
+		if t1.kind != tokLocal {
+			return nil, p.errf(t1, "expected block label")
+		}
 		if err := p.expectPunct(","); err != nil {
 			return nil, err
 		}
@@ -855,6 +858,9 @@ func (p *parser) parseInstrBody(op Op, opTok token) (*Instr, error) {
 			return nil, err
 		}
 		t2 := p.lex.next()
+		if t2.kind != tokLocal {
+			return nil, p.errf(t2, "expected block label")
+		}
 		in := NewInstr(OpBr, Void, cond)
 		in.AddBlockArg(p.blockUse(t1))
 		in.AddBlockArg(p.blockUse(t2))

@@ -1,6 +1,9 @@
 package ir
 
-import "strconv"
+import (
+	"slices"
+	"strconv"
+)
 
 // Value is anything that can appear as an instruction operand: an
 // instruction result, a function parameter, or one of the constant
@@ -17,45 +20,40 @@ type Value interface {
 	delUse(u *Instr)
 }
 
-// userTracker records, for a definition, how many times each
-// instruction uses it. The multiplicity matters: Section 3.1 of the
-// paper is precisely about transformations that change the number of
-// syntactic uses of a value.
+// userTracker records, for a definition, every operand slot that uses
+// it: one entry per slot, so an instruction that uses the value twice
+// appears twice. The multiplicity matters: Section 3.1 of the paper is
+// precisely about transformations that change the number of syntactic
+// uses of a value.
 type userTracker struct {
-	users map[*Instr]int
+	uses []*Instr // in the order the uses were added
 }
 
-func (t *userTracker) addUse(u *Instr) {
-	if t.users == nil {
-		t.users = make(map[*Instr]int)
-	}
-	t.users[u]++
-}
+func (t *userTracker) addUse(u *Instr) { t.uses = append(t.uses, u) }
 
+// delUse drops one of u's uses: the last, so a user that keeps another
+// use keeps its first-use position.
 func (t *userTracker) delUse(u *Instr) {
-	if t.users[u] <= 1 {
-		delete(t.users, u)
-	} else {
-		t.users[u]--
+	for i := len(t.uses) - 1; i >= 0; i-- {
+		if t.uses[i] == u {
+			t.uses = slices.Delete(t.uses, i, i+1)
+			return
+		}
 	}
 }
 
 // NumUses returns the total number of operand slots that reference this
 // definition.
-func (t *userTracker) NumUses() int {
-	n := 0
-	for _, c := range t.users {
-		n += c
-	}
-	return n
-}
+func (t *userTracker) NumUses() int { return len(t.uses) }
 
-// Users returns each distinct instruction that uses this definition.
-// The order is unspecified.
+// Users returns each distinct instruction that uses this definition,
+// in the order of their first use.
 func (t *userTracker) Users() []*Instr {
-	us := make([]*Instr, 0, len(t.users))
-	for u := range t.users {
-		us = append(us, u)
+	us := make([]*Instr, 0, len(t.uses))
+	for _, u := range t.uses {
+		if !slices.Contains(us, u) {
+			us = append(us, u)
+		}
 	}
 	return us
 }

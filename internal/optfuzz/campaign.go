@@ -78,10 +78,10 @@ type Campaign struct {
 	// Transforms, when non-empty, overrides Transform: every candidate
 	// is validated against each named transform in order, §6-style
 	// ("both individual passes and -O2"). The passes share the shard's
-	// memo, so each candidate's source behaviour sets are derived once
-	// and looked up for every subsequent pass — this is where
-	// memoization pays, since an exhaustive generator never repeats a
-	// source within one pass.
+	// memo session, so each candidate's source behaviour sets are
+	// derived once and served from the session's source vector for
+	// every subsequent pass, and a target one pass leaves unchanged
+	// reads that vector too.
 	Transforms []NamedTransform
 
 	// Pipeline, when non-nil (and Transforms is empty), overrides
@@ -302,9 +302,10 @@ type Stats struct {
 	Findings []Finding
 
 	// MemoHits / MemoLookups / MemoEvictions are the shared memo's
-	// counters after the run (an eviction drops one function entry
-	// with all its sets); MemoSets is how many behaviour sets it ended
-	// up holding. Under Workers > 1 the hit/eviction split is
+	// counters after the run: lookups count target inputs served, hits
+	// those read from a published vector, and an eviction drops one
+	// target's vector. MemoSets is how many behaviour sets it ended up
+	// holding. Under Workers > 1 the hit/eviction split is
 	// scheduling-dependent (the verdicts above are not).
 	MemoHits      uint64
 	MemoLookups   uint64
@@ -763,6 +764,8 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 	rcfg.Memo = memo
 	rcfg.Session = nil
 	if memo != nil {
+		// The session also keeps the candidate's source vector, so a
+		// candidate checked against several transforms is swept once.
 		rcfg.Session = memo.NewSession()
 	}
 	// Candidates and their transformed clones are built fresh and
@@ -981,7 +984,7 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 // memo is Scheduling, because which worker computes a shared behaviour
 // set first is a race whenever more than one runs — and the class must
 // not depend on the worker count. The program cache counts as memo
-// traffic: Check compiles a side only at its first memo miss.
+// traffic: Check compiles a side only at its first computed set.
 func (c Campaign) publish(out Stats, shardRuns int, check *refine.CheckMetrics, prog core.ProgramCacheStats, poolPM *parallel.PoolMetrics, sharedMemo, corpus bool) {
 	reg := c.Telemetry
 	if reg == nil {

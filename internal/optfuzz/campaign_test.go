@@ -321,3 +321,43 @@ func TestCampaignNilTransform(t *testing.T) {
 		t.Fatalf("validated %d funcs, want the full space of %d", st.Funcs, want)
 	}
 }
+
+// TestCampaignSweepsEachSourceOnce: a candidate checked against several
+// transforms is swept once — the shard's memo session keeps its source
+// vector for the later Checks — and a target identical to its source
+// costs no sweep of its own. Judged by engine executions: under an
+// identity transform a campaign runs exactly one source sweep per
+// candidate (half its memo-less executions), and three renaming
+// transforms, whose targets never hit, cost that one sweep plus each
+// transform's target sweeps as measured in a one-transform run.
+func TestCampaignSweepsEachSourceOnce(t *testing.T) {
+	sem := core.FreezeOptions()
+	gen := DefaultConfig(1)
+	gen.AllowUndef = false
+	gen.AllowPoison = true
+	gen.MaxFuncs = 300
+	execs := func(memoEntries int, trs ...NamedTransform) uint64 {
+		var n uint64
+		cfg := refine.DefaultConfig(sem, sem)
+		cfg.ExecCount = &n
+		c := Campaign{Gen: gen, Refine: cfg, Transforms: trs, Workers: 1, MemoEntries: memoEntries}
+		if st := c.Run(); st.Refuted != 0 || st.Funcs != 300 {
+			t.Fatalf("%d funcs, %d refuted: want 300 sound checks", st.Funcs, st.Refuted)
+		}
+		return n
+	}
+	rename := func(name string) NamedTransform {
+		return NamedTransform{Name: name, Fn: func(f *ir.Func) { f.Nam = name }}
+	}
+	identity := NamedTransform{Name: "identity", Fn: func(*ir.Func) {}}
+
+	sweeps := execs(0, identity)
+	if plain := execs(-1, identity); sweeps == 0 || 2*sweeps != plain {
+		t.Fatalf("identity transform: %d executions with the memo, %d without; want exactly half", sweeps, plain)
+	}
+	a, b, c := rename("a"), rename("b"), rename("c")
+	want := execs(0, a) + execs(0, b) + execs(0, c) - 2*sweeps
+	if got := execs(0, a, b, c); got != want {
+		t.Errorf("three transforms ran %d executions, want %d: one source sweep per candidate plus each target's", got, want)
+	}
+}

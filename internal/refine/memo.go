@@ -1,9 +1,9 @@
 package refine
 
 import (
+	"bytes"
+	"slices"
 	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 
 	"tameir/internal/cache"
@@ -11,56 +11,50 @@ import (
 	"tameir/internal/ir"
 )
 
-// Memo caches behaviour sets across refinement checks, keyed by the
-// canonical (function, semantics, input vector) triple.
+// Memo caches the behaviour vectors of checked target functions across
+// refinement checks, keyed by the canonical (function, semantics)
+// pair. A vector holds the function's behaviour set on every input of
+// Check's deterministic input enumeration, indexed by the input's
+// ordinal.
 //
 // Exhaustive campaigns are dominated by structurally identical work:
 // most candidates pass through an optimizer unchanged or collapse to
-// one of a few small forms, so the same behaviour sets are re-derived
-// over and over. The memo turns those derivations into lookups.
+// one of a few small forms, so the same target functions are checked
+// over and over. The memo turns those sweeps into reads. Sources are
+// not memoized: an enumerating campaign never repeats a source, so the
+// source side keeps a private per-candidate vector in the session
+// instead (see MemoSession).
 //
-// The cache is two-level so the hot path never touches the expensive
-// part of the key. The first level maps the canonical function text
-// (plus a semantics/bounds fingerprint) to a per-function entry; a
-// per-session two-slot identity cache — two slots because Check
-// alternates between src and tgt on every input — resolves repeat
-// (function, options) pairs by pointer comparison, so the function is
-// printed once per Check side, not once per input. The second level
-// maps the input vector's short key (or its ordinal in Check's
-// deterministic input enumeration) to its behaviour set.
+// A vector is computed by the Check that first misses on its function
+// and published once, complete; it is immutable from then on, so a
+// Check resolves its target's entry with one probe of the index and
+// reads every input without locks. A Check that refutes before the
+// last input publishes nothing. Incomplete sets leave their slot empty
+// — they depend on enumeration bounds in a way that is cheap to just
+// redo — and a reader recomputes them.
 //
 // Keys are full canonical strings, not hashes, so a hit can never be a
 // collision: a memoized verdict is always the verdict the engine would
-// have produced (see TestMemoNeverChangesVerdict). Entries whose sets
-// are Incomplete are not cached — they depend on enumeration bounds in
-// a way that is cheap to just redo. The identity cache assumes
-// functions are not mutated between checks that share a Memo; the
-// pipeline upholds this by checking sources it never mutates and
-// transforming private clones.
+// have produced (see TestMemoNeverChangesVerdict).
 //
-// A Memo IS safe for concurrent use: the function table is a
-// cache.StringMap split over memoShardCount lock stripes and the
-// counters are atomic, so one memo can back every worker of a campaign
-// and hits cross worker shards. Each goroutine must drive it through
-// its own MemoSession (NewSession), which holds the only unshared
-// state — the identity cache.
+// A Memo IS safe for concurrent use: the index is a cache.StringMap
+// split over memoShardCount lock stripes and the counters are atomic,
+// so one memo can back every worker of a campaign and hits cross
+// worker shards. Each goroutine must drive it through its own
+// MemoSession (NewSession), which holds the unshared scratch.
 //
-// Residency is bounded per function and by behaviour sets: each
-// per-function entry is admitted once, when it is created, to a
-// cache.Clock (second-chance) ring, and a hit sets the entry's
-// reference bit under the stripe lock the lookup already holds.
-// Evicting an entry removes it from the index and drops all of its
-// behaviour sets. The ring evicts to admit a new entry once it holds
-// the entry cap, and a store that takes the resident sets past the set
-// budget evicts cold entries until they fit again, so neither the
-// index (key text included) nor the sets outgrow their bounds however
-// many inputs a function has. Sessions that still hold an evicted
-// entry in their identity cache see it marked dead and re-resolve it
-// by key. An eviction can cost a recomputation but never changes a
-// verdict (TestMemoEvictionKeepsVerdicts).
+// Residency is bounded by entries and by behaviour sets: each entry is
+// admitted, when it is published, to a cache.Clock (second-chance)
+// ring, and a probe that finds it sets its reference bit. Evicting an
+// entry removes it from the index; a Check already reading its vector
+// keeps reading it. The ring evicts to admit a new entry once it holds
+// the entry cap, and a publish that takes the resident sets past the
+// set budget evicts cold entries until they fit again. An eviction can
+// cost a recomputation but never changes a verdict
+// (TestMemoEvictionKeepsVerdicts).
 type Memo struct {
-	funcs *cache.StringMap[*memoFuncEntry]
-	clock *cache.Clock[*memoFuncEntry]
+	funcs *cache.StringMap[*memoEntry]
+	clock *cache.Clock[*memoEntry]
 
 	hits, lookups atomic.Uint64
 	sets          atomic.Int64 // resident behaviour sets
@@ -69,48 +63,48 @@ type Memo struct {
 
 // memoShardCount is the lock-striping factor. 64 keeps contention
 // negligible at any plausible worker count while costing one FNV hash
-// per per-function entry resolution (once per Check side, thanks to
-// the session identity cache).
+// per probe (once per Check).
 const memoShardCount = 64
 
-type memoFuncEntry struct {
-	key string      // the first-level key, for removal on eviction
-	mu  *sync.Mutex // home stripe lock; guards all mutable state below
-
-	ref  bool        // clock reference bit, set on hit
-	dead atomic.Bool // evicted: out of the index, holds no sets
-	n    int         // resident sets across both levels
-
-	// sets is the generic second level, keyed by input-vector text.
-	sets map[string]memoSet
-	// byIdx is the fast second level used by Check, keyed by the input
-	// vector's ordinal in Check's deterministic enumeration. Sound
-	// because the fingerprint pins everything the sequence depends on:
-	// the parameter types (via the function text) and the source mode.
-	byIdx []memoSet
-}
-
-type memoSet struct {
-	set BehaviorSet
-	ok  bool // the slot holds a set (byIdx has gaps)
+// memoEntry is one function's published behaviour vector. Only the
+// reference bit changes after publication.
+type memoEntry struct {
+	key string // the index key, for removal on eviction
+	// sets is indexed by input ordinal. An Incomplete set is never
+	// served, so it marks a gap the reader recomputes.
+	sets []BehaviorSet
+	n    int // complete sets
+	ref  atomic.Bool
 }
 
 // MemoSession is one goroutine's handle on a shared Memo. It carries
-// the two-slot function-identity cache, which is the only part of the
-// memo machinery that is not safe to share. Sessions are cheap; create
-// one per worker (Check creates a private one when given a Memo
-// without a Session).
+// the scratch that is not safe to share: the key buffers, the target
+// vector a missing Check fills before publishing it, and the current
+// candidate's source vector. Sessions are cheap; create one per worker
+// (Check creates a private one when given a Memo without a Session).
+//
+// The source vector is keyed by the source's *ir.Func identity, so
+// consecutive Checks of one source against several targets (a
+// campaign's transforms) sweep it once. That trusts functions not to
+// be mutated between Checks sharing a session, the contract
+// core.ProgramCache already holds campaigns to.
 type MemoSession struct {
-	m        *Memo
-	ident    [2]memoIdent
-	identPos int
-	keyBuf   []byte // reused first-level key rendering buffer
+	m      *Memo
+	keyBuf []byte // the target's rendered key
+	srcBuf []byte // the source's, rendered only on a target miss
+	fresh  []BehaviorSet
+	src    srcVector
 }
 
-type memoIdent struct {
-	fn    *ir.Func
-	opts  memoOpts
-	entry *memoFuncEntry
+// srcVector is the behaviour sets of one source on a prefix of Check's
+// input enumeration. Check visits inputs in order, so the computed
+// sets always form a prefix. Incomplete sets are kept too: the
+// enumeration is deterministic, so within one candidate a recomputation
+// would only repeat them.
+type srcVector struct {
+	fn   *ir.Func
+	mo   memoOpts
+	sets []BehaviorSet
 }
 
 // memoOpts is the comparable fingerprint of everything besides the
@@ -125,49 +119,29 @@ type memoOpts struct {
 	fuel       int
 }
 
-// memoRef carries a resolved slot from lookup to store so the key work
-// is not repeated on the put path. ordinal < 0 means the string-keyed
-// level addressed by argsKey; otherwise byIdx[ordinal], and inputs,
-// when positive, is the size of the ordinal space, so a small byIdx is
-// allocated once at full length.
-type memoRef struct {
-	entry   *memoFuncEntry
-	argsKey string
-	ordinal int
-	inputs  int
-}
-
-// memoPreallocInputs is the largest ordinal space whose byIdx is
-// allocated at full length on the first store. Wider spaces (an i16
-// parameter has 2^16+ inputs) grow on demand, so a check that refutes
-// at its first input does not pay for all of them.
-const memoPreallocInputs = 256
-
-// DefaultMemoEntries bounds a memo to this many per-function entries.
-// At this size the §6 exhaustive campaign keeps the hit ratio an
+// DefaultMemoEntries bounds a memo to this many function entries. At
+// this size the §6 exhaustive campaign keeps the hit ratio an
 // unbounded memo would reach.
 const DefaultMemoEntries = 8192
 
 // memoSetsPerEntry sets a memo's behaviour-set budget: an average of
 // this many resident sets per entry of the cap. A §6 i2 entry holds up
-// to 25 small sets, and the §6 campaign fills the default cap with
-// about 205k, so the default budget (1<<18) does not bind there; a
-// budget below that costs it hits. A wide i16 entry can hold 2^16
-// sets, and without the budget a campaign of them could keep hundreds
-// of millions.
+// to 25 small sets, so the default budget (1<<18) does not bind there.
+// A wide i16 entry holds 2^16 sets, and without the budget a campaign
+// of them could keep hundreds of millions.
 const memoSetsPerEntry = 32
 
-// NewMemo returns a memo holding at most max per-function entries (0
-// means DefaultMemoEntries) and about max*memoSetsPerEntry behaviour
-// sets. When either bound is reached, a clock sweep evicts cold
-// entries, with all their sets, to make room.
+// NewMemo returns a memo holding at most max function entries (0 means
+// DefaultMemoEntries) and about max*memoSetsPerEntry behaviour sets.
+// When either bound is reached, a clock sweep evicts cold entries to
+// make room.
 func NewMemo(max int) *Memo {
 	if max <= 0 {
 		max = DefaultMemoEntries
 	}
 	return &Memo{
-		funcs:   cache.NewStringMap[*memoFuncEntry](memoShardCount),
-		clock:   cache.NewClock[*memoFuncEntry](max),
+		funcs:   cache.NewStringMap[*memoEntry](memoShardCount),
+		clock:   cache.NewClock[*memoEntry](max),
 		maxSets: int64(max) * memoSetsPerEntry,
 	}
 }
@@ -175,133 +149,154 @@ func NewMemo(max int) *Memo {
 // NewSession returns a fresh session over m for use by one goroutine.
 func (m *Memo) NewSession() *MemoSession { return &MemoSession{m: m} }
 
-// Hits returns the number of lookups answered from the cache (summed
-// over all sessions).
+// Hits returns the number of target inputs whose behaviour set was
+// read from a published vector (summed over all sessions).
 func (m *Memo) Hits() uint64 { return m.hits.Load() }
 
-// Lookups returns the total number of lookups.
+// Lookups returns the number of target inputs served while the memo
+// was consulted: one per input of every Check's target, hit or not.
 func (m *Memo) Lookups() uint64 { return m.lookups.Load() }
 
-// Evictions returns the number of per-function entries evicted by the
-// clock, to admit a new entry or to meet the set budget.
+// Evictions returns the number of entries evicted by the clock, to
+// admit a new entry or to meet the set budget.
 func (m *Memo) Evictions() uint64 { return m.clock.Evictions() }
 
 // Len returns the number of cached behaviour sets (approximate while
-// concurrent stores are in flight). It stays within the set budget
-// except for stores in flight.
+// concurrent publishes are in flight). It stays within the set budget
+// except for publishes in flight.
 func (m *Memo) Len() int { return int(m.sets.Load()) }
 
-// entryFor resolves the per-function entry for a fully rendered key,
-// creating it on first use and admitting it to the clock. The
-// constructor keeps the stripe mutex as the entry's guard. Admission
-// runs after GetOrCreate has released the stripe, keeping the
-// ring → stripe lock order.
-func (m *Memo) entryFor(key string) *memoFuncEntry {
-	e, created := m.funcs.GetOrCreate(key, func(mu *sync.Mutex) *memoFuncEntry {
-		return &memoFuncEntry{key: key, mu: mu}
-	})
-	if created {
-		m.clock.Admit(e, recentlyUsed, m.evict)
+// probe returns the published entry for a rendered key, or nil, and
+// marks a found entry recently used.
+func (m *Memo) probe(key []byte) *memoEntry {
+	e, ok := m.funcs.Get(key)
+	if !ok {
+		return nil
+	}
+	if !e.ref.Load() {
+		e.ref.Store(true)
 	}
 	return e
 }
 
-// recentlyUsed is the clock's second-chance test: it reports whether e
-// was hit since the hand last passed, clearing the bit.
-func recentlyUsed(e *memoFuncEntry) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	used := e.ref
-	e.ref = false
-	return used
+// publish installs a copy of sets as the vector under key, unless it
+// holds no set or another session published it first. The clock admits
+// the new entry after the stripe is released, keeping the ring →
+// stripe lock order.
+func (m *Memo) publish(key []byte, sets []BehaviorSet) {
+	n := 0
+	for _, s := range sets {
+		if !s.Incomplete {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	k := string(key)
+	e, created := m.funcs.GetOrCreate(k, func() *memoEntry {
+		m.sets.Add(int64(n))
+		return &memoEntry{key: k, sets: slices.Clone(sets), n: n}
+	})
+	if !created {
+		return
+	}
+	m.clock.Admit(e, recentlyUsed, m.evict)
+	if m.sets.Load() > m.maxSets {
+		m.shed()
+	}
 }
 
-// evict removes e from the index and drops its sets. Sessions may
-// still hold e; the dead mark sends them back to the index, and store
-// refuses to refill a dead entry.
-func (m *Memo) evict(e *memoFuncEntry) {
+// recentlyUsed is the clock's second-chance test: it reports whether e
+// was probed since the hand last passed, clearing the bit.
+func recentlyUsed(e *memoEntry) bool { return e.ref.Swap(false) }
+
+// evict removes e from the index. Checks already reading its vector
+// finish with it; the next probe misses.
+func (m *Memo) evict(e *memoEntry) {
 	m.funcs.Delete(e.key)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.dead.Store(true)
 	m.sets.Add(-int64(e.n))
-	e.sets, e.byIdx, e.n = nil, nil, 0
 }
 
 // shed evicts cold entries while the resident sets exceed the budget.
 // Callers hold no stripe lock (the ring → stripe order). Concurrent
-// stores may each shed an entry, so the memo can briefly undershoot.
+// publishes may each shed an entry, so the memo can briefly
+// undershoot.
 func (m *Memo) shed() {
 	for m.sets.Load() > m.maxSets && m.clock.Evict(recentlyUsed, m.evict) {
 	}
 }
 
-// put installs s in the slot a memoRef addresses unless the slot is
-// filled (another session raced the same computation) or e is dead,
-// and reports whether it did. Caller holds e.mu.
-func (e *memoFuncEntry) put(ref memoRef, s memoSet) bool {
-	if e.dead.Load() {
-		return false
+// source returns the session's vector for fn under mo, emptied first
+// when it belonged to another source.
+func (s *MemoSession) source(fn *ir.Func, mo memoOpts) *srcVector {
+	if v := &s.src; v.fn != fn || v.mo != mo {
+		clear(v.sets)
+		*v = srcVector{fn: fn, mo: mo, sets: v.sets[:0]}
 	}
-	s.ok = true
-	if ordinal := ref.ordinal; ordinal >= 0 {
-		if ordinal >= cap(e.byIdx) {
-			n := max(ordinal+1, 2*cap(e.byIdx))
-			if ref.inputs <= memoPreallocInputs {
-				n = max(n, ref.inputs)
-			}
-			grown := make([]memoSet, len(e.byIdx), n)
-			copy(grown, e.byIdx)
-			e.byIdx = grown
-		}
-		if ordinal >= len(e.byIdx) {
-			e.byIdx = e.byIdx[:ordinal+1] // slots past len were never written
-		}
-		if e.byIdx[ordinal].ok {
-			return false
-		}
-		e.byIdx[ordinal] = s
-	} else {
-		if _, dup := e.sets[ref.argsKey]; dup {
-			return false
-		}
-		if e.sets == nil {
-			e.sets = make(map[string]memoSet)
-		}
-		e.sets[ref.argsKey] = s
-	}
-	e.n++
-	return true
+	return &s.src
 }
 
-// funcEntry resolves the per-function cache level, through the
-// session's identity cache when possible.
-func (s *MemoSession) funcEntry(fn *ir.Func, mo memoOpts) *memoFuncEntry {
-	for i := range s.ident {
-		id := &s.ident[i]
-		if id.fn == fn && id.opts == mo {
-			if id.entry.dead.Load() {
-				id.entry = s.m.entryFor(id.entry.key)
-			}
-			return id.entry
-		}
-	}
-	s.keyBuf = appendMemoFuncKey(s.keyBuf[:0], fn, mo)
-	entry := s.m.entryFor(string(s.keyBuf))
-	s.ident[s.identPos] = memoIdent{fn: fn, opts: mo, entry: entry}
-	s.identPos = (s.identPos + 1) % len(s.ident)
-	return entry
+// targetProbe is a Check's view of its target in the memo: the
+// published entry, or on a miss where the fresh sets are collected (or
+// that the target is the source itself). It counts the target inputs
+// it served and flushes them into the shared counters once per Check.
+type targetProbe struct {
+	s     *MemoSession
+	entry *memoEntry
+	// same: the target's key equals the source's, so the source
+	// vector serves it.
+	same          bool
+	hits, lookups uint64
 }
 
-// appendMemoFuncKey appends the first-level key: the semantics/bounds
+// probeTarget resolves tgt's entry. On a miss it compares the target's
+// text and semantics with the source's, and otherwise starts a fresh
+// vector.
+func (s *MemoSession) probeTarget(src, tgt *ir.Func, srcMO, tgtMO memoOpts) targetProbe {
+	s.keyBuf = appendMemoFuncKey(s.keyBuf[:0], tgt, tgtMO)
+	p := targetProbe{s: s, entry: s.m.probe(s.keyBuf)}
+	if p.entry == nil {
+		if srcMO == tgtMO {
+			s.srcBuf = appendMemoFuncKey(s.srcBuf[:0], src, srcMO)
+			p.same = bytes.Equal(s.srcBuf, s.keyBuf)
+		}
+		clear(s.fresh)
+		s.fresh = s.fresh[:0]
+	}
+	return p
+}
+
+// publish hands the completed target vector to the memo: the fresh
+// sets, or the source vector's when the target is the source.
+func (p *targetProbe) publish(sv *srcVector) {
+	switch {
+	case p.entry != nil:
+	case p.same:
+		p.s.m.publish(p.s.keyBuf, sv.sets)
+	default:
+		p.s.m.publish(p.s.keyBuf, p.s.fresh)
+	}
+}
+
+// flush adds the probe's counts to the memo's.
+func (p *targetProbe) flush() {
+	if p.lookups > 0 {
+		p.s.m.lookups.Add(p.lookups)
+	}
+	if p.hits > 0 {
+		p.s.m.hits.Add(p.hits)
+	}
+}
+
+// appendMemoFuncKey appends the index key: the semantics/bounds
 // fingerprint followed by the canonical function text. Everything the
-// behaviour set (and Check's ordinal enumeration) depends on is in
-// here, so equal keys name equal behaviour sets.
+// behaviour vector (and Check's ordinal enumeration) depends on is in
+// here, so equal keys name equal vectors.
 func appendMemoFuncKey(b []byte, fn *ir.Func, mo memoOpts) []byte {
-	// srcMode and inputBits must be part of the rendered key, not just
-	// the identity-cache struct: they steer Check's input enumeration,
-	// so the byIdx ordinal space is only stable within one
-	// (srcMode, inputBits) regime.
+	// srcMode and inputBits steer Check's input enumeration, so a
+	// vector's ordinals are only meaningful within one (srcMode,
+	// inputBits) regime.
 	b = strconv.AppendUint(b, uint64(mo.opts.Mode), 10)
 	b = strconv.AppendUint(append(b, '|'), uint64(mo.opts.BranchPoison), 10)
 	b = strconv.AppendUint(append(b, '|'), uint64(mo.opts.SelectPoisonCond), 10)
@@ -327,66 +322,5 @@ func memoOptsOf(opts core.Options, cfg *Config) memoOpts {
 		maxFanout:  cfg.MaxFanout,
 		maxExecs:   cfg.MaxExecs,
 		fuel:       cfg.Fuel,
-	}
-}
-
-func argsKey(args []core.Value) string {
-	var b strings.Builder
-	b.Grow(len(args) * 8)
-	for _, a := range args {
-		b.WriteString(a.Key())
-		b.WriteByte('\x00')
-	}
-	return b.String()
-}
-
-// lookup resolves args on side sd under cfg; ok reports a hit. The
-// returned ref is passed to store to cache a freshly computed set.
-// ordinal, when non-negative, is the input vector's position in
-// Check's deterministic enumeration and selects the slice-indexed
-// level, whose hot path does no string work at all; pass -1 when no
-// such ordinal exists. The per-function entry is resolved once per
-// side and kept there until it is evicted.
-func (s *MemoSession) lookup(sd *side, args []core.Value, ordinal int, cfg *Config) (memoRef, BehaviorSet, bool) {
-	s.m.lookups.Add(1)
-	entry := sd.entry
-	if entry == nil || entry.dead.Load() {
-		entry = s.funcEntry(sd.fn, memoOptsOf(sd.opts, cfg))
-		sd.entry = entry
-	}
-	ref := memoRef{entry: entry, ordinal: ordinal}
-	if ordinal < 0 {
-		ref.argsKey = argsKey(args)
-	}
-	var hit memoSet
-	entry.mu.Lock()
-	if ordinal >= 0 {
-		if ordinal < len(entry.byIdx) {
-			hit = entry.byIdx[ordinal]
-		}
-	} else {
-		hit = entry.sets[ref.argsKey]
-	}
-	if hit.ok {
-		entry.ref = true
-	}
-	entry.mu.Unlock()
-	if !hit.ok {
-		return ref, BehaviorSet{}, false
-	}
-	s.m.hits.Add(1)
-	return ref, hit.set, true
-}
-
-// store caches a computed set under a ref obtained from lookup.
-func (s *MemoSession) store(ref memoRef, set BehaviorSet) {
-	if set.Incomplete {
-		return
-	}
-	ref.entry.mu.Lock()
-	added := ref.entry.put(ref, memoSet{set: set})
-	ref.entry.mu.Unlock()
-	if added && s.m.sets.Add(1) > s.m.maxSets {
-		s.m.shed()
 	}
 }

@@ -3,6 +3,7 @@ package refine
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"tameir/internal/core"
@@ -93,109 +94,275 @@ func TestMemoNeverChangesVerdict(t *testing.T) {
 	}
 }
 
-// TestMemoHitsOnRepeatedCheck: a second identical Check must be
-// answered entirely from the cache.
+// TestMemoHitsOnRepeatedCheck: a second identical Check must read its
+// whole target from the published vector, and the memo must count
+// target inputs only: the source side never touches it.
 func TestMemoHitsOnRepeatedCheck(t *testing.T) {
 	src := ir.MustParseFunc(memoPairs[0].src)
 	tgt := ir.MustParseFunc(memoPairs[0].tgt)
 	cfg := DefaultConfig(core.FreezeOptions(), core.FreezeOptions())
 	cfg.Memo = NewMemo(0)
+	// One session throughout, so the second Check's source is served
+	// from the session's source vector — which the memo must not count.
+	cfg.Session = cfg.Memo.NewSession()
 
-	Check(src, tgt, cfg)
-	cold := cfg.Memo.Lookups()
-	if cold == 0 {
-		t.Fatal("no memo lookups on first Check")
+	cold := Check(src, tgt, cfg)
+	if got := cfg.Memo.Lookups(); got != uint64(cold.Inputs) {
+		t.Fatalf("first Check: %d lookups, want one per target input (%d)", got, cold.Inputs)
 	}
-	hitsBefore := cfg.Memo.Hits()
+	if got := cfg.Memo.Len(); got != cold.Inputs || cfg.Memo.funcs.Len() != 1 {
+		t.Fatalf("first Check left %d sets in %d entries, want the target's %d in 1", got, cfg.Memo.funcs.Len(), cold.Inputs)
+	}
+	if cfg.Memo.Hits() != 0 {
+		t.Fatalf("first Check: %d hits on an empty memo", cfg.Memo.Hits())
+	}
 
 	Check(src, tgt, cfg)
-	if got := cfg.Memo.Hits() - hitsBefore; got != cold {
-		t.Errorf("second Check: %d hits, want all %d lookups to hit", got, cold)
+	if got, want := cfg.Memo.Hits(), uint64(cold.Inputs); got != want {
+		t.Errorf("second Check: %d hits, want all %d target inputs", got, want)
+	}
+	if got, want := cfg.Memo.Lookups(), uint64(2*cold.Inputs); got != want {
+		t.Errorf("after two Checks: %d lookups, want %d (target inputs only)", got, want)
+	}
+	if got := cfg.Memo.Len(); got != cold.Inputs {
+		t.Errorf("second Check changed the resident sets: %d, want %d", got, cold.Inputs)
 	}
 }
 
-// lookupFreeze looks fn up on args under the default freeze config,
-// through a fresh side as a one-off Behaviors call would.
-func lookupFreeze(s *MemoSession, fn *ir.Func, args []core.Value) (memoRef, bool) {
+// TestMemoRefutedCheckPublishesNothing: a Check that refutes before
+// its last input has no complete vector to publish.
+func TestMemoRefutedCheckPublishesNothing(t *testing.T) {
+	cfg := DefaultConfig(core.FreezeOptions(), core.FreezeOptions())
+	cfg.Memo = NewMemo(0)
+	res := Check(ir.MustParseFunc(memoPairs[1].src), ir.MustParseFunc(memoPairs[1].tgt), cfg)
+	if res.Status != Refuted {
+		t.Fatalf("got %s, want a refutation", res)
+	}
+	if cfg.Memo.Len() != 0 || cfg.Memo.funcs.Len() != 0 || cfg.Memo.clock.Len() != 0 {
+		t.Errorf("refuted Check published: %d sets in %d entries", cfg.Memo.Len(), cfg.Memo.funcs.Len())
+	}
+	if got := cfg.Memo.Lookups(); got != uint64(res.Inputs) {
+		t.Errorf("%d lookups, want one per target input served (%d)", got, res.Inputs)
+	}
+}
+
+// TestMemoIdenticalTargetReadsSource: a target whose text and semantics
+// equal its source's is served from the source vector, so its sets are
+// swept once, and its vector is still published for later targets.
+func TestMemoIdenticalTargetReadsSource(t *testing.T) {
+	opts := core.LegacyOptions(core.BranchPoisonNondet)
+	p := memoPairs[2]
+	base := DefaultConfig(opts, opts)
+	var plainExecs, execs uint64
+	base.ExecCount = &plainExecs
+	plain := Check(ir.MustParseFunc(p.src), ir.MustParseFunc(p.tgt), base)
+
+	cfg := base
+	cfg.ExecCount = &execs
+	cfg.Memo = NewMemo(0)
+	if got := Check(ir.MustParseFunc(p.src), ir.MustParseFunc(p.tgt), cfg); !reflect.DeepEqual(got, plain) {
+		t.Fatalf("memo changed verdict: %s, want %s", got, plain)
+	}
+	if execs == 0 || 2*execs != plainExecs {
+		t.Errorf("memoized Check ran %d executions, want half of the memo-less %d", execs, plainExecs)
+	}
+	if cfg.Memo.funcs.Len() != 1 || cfg.Memo.Len() != plain.Inputs {
+		t.Errorf("identical target published %d sets in %d entries, want %d in 1", cfg.Memo.Len(), cfg.Memo.funcs.Len(), plain.Inputs)
+	}
+	// A fresh source with that text as its target now hits throughout.
+	execs = 0
+	hits := cfg.Memo.Hits()
+	Check(ir.MustParseFunc(memoPairs[2].src), ir.MustParseFunc(p.tgt), cfg)
+	if got := cfg.Memo.Hits() - hits; got != uint64(plain.Inputs) || 2*execs != plainExecs {
+		t.Errorf("republished target: %d hits and %d executions, want %d and %d", got, execs, plain.Inputs, plainExecs/2)
+	}
+}
+
+// TestMemoSourceSweptOncePerSession: one session checking one source
+// against several targets sweeps the source once; only targets cost
+// executions after the first Check.
+func TestMemoSourceSweptOncePerSession(t *testing.T) {
+	opts := core.FreezeOptions()
+	srcs, twins := memoFuncs(5)
+	// The add, sub and or twins of an identity source: each refines it,
+	// so every Check sweeps all inputs.
+	tgts := []string{twins[0], twins[1], twins[4]}
+	base := DefaultConfig(opts, opts)
+	src := ir.MustParseFunc(srcs[0])
+	sweep := func(fn *ir.Func) uint64 { // executions of one memo-less side
+		var n uint64
+		cfg := base
+		cfg.ExecCount = &n
+		Check(fn, ir.MustParseFunc(fn.String()), cfg)
+		return n / 2
+	}
+	var want uint64 = sweep(src)
+	for _, tt := range tgts {
+		want += sweep(ir.MustParseFunc(tt))
+	}
+	var execs uint64
+	cfg := base
+	cfg.ExecCount = &execs
+	cfg.Memo = NewMemo(0)
+	cfg.Session = cfg.Memo.NewSession()
+	for _, tt := range tgts {
+		Check(src, ir.MustParseFunc(tt), cfg)
+	}
+	if execs != want {
+		t.Errorf("three Checks of one source ran %d executions, want %d (one source sweep plus each target's)", execs, want)
+	}
+}
+
+// TestMemoRacingMissPublishesOnce: sessions that all miss on one
+// target compute it side by side, and exactly one vector is published.
+// Every session is held at its first target set until all have probed,
+// so the race is certain, not likely.
+func TestMemoRacingMissPublishesOnce(t *testing.T) {
+	opts := core.FreezeOptions()
+	p := memoPairs[0]
+	want := Check(ir.MustParseFunc(p.src), ir.MustParseFunc(p.tgt), DefaultConfig(opts, opts))
+	memo := NewMemo(0)
+	const workers = 4
+	var probed sync.WaitGroup
+	probed.Add(workers)
+	got := make([]Result, workers)
+	var done sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		done.Add(1)
+		go func(w int) {
+			defer done.Done()
+			cfg := DefaultConfig(opts, opts)
+			cfg.Memo = memo
+			cfg.Session = memo.NewSession()
+			sets := 0
+			cfg.BehaviorHook = func(BehaviorSet) {
+				if sets++; sets == 2 { // the first target set: probed and missed
+					probed.Done()
+					probed.Wait()
+				}
+			}
+			got[w] = Check(ir.MustParseFunc(p.src), ir.MustParseFunc(p.tgt), cfg)
+		}(w)
+	}
+	done.Wait()
+	for w := range got {
+		if !reflect.DeepEqual(got[w], want) {
+			t.Errorf("worker %d: %s, want %s", w, got[w], want)
+		}
+	}
+	if memo.Hits() != 0 {
+		t.Fatalf("%d hits: the sessions did not all miss", memo.Hits())
+	}
+	if memo.funcs.Len() != 1 || memo.clock.Len() != 1 || memo.Len() != want.Inputs {
+		t.Errorf("racing misses left %d sets in %d entries (%d admitted), want one vector of %d",
+			memo.Len(), memo.funcs.Len(), memo.clock.Len(), want.Inputs)
+	}
+}
+
+// freezeKey renders fn's index key under the default freeze config.
+func freezeKey(fn *ir.Func) []byte {
 	opts := core.FreezeOptions()
 	cfg := DefaultConfig(opts, opts)
-	ref, _, ok := s.lookup(&side{fn: fn, opts: opts}, args, -1, &cfg)
-	return ref, ok
+	return appendMemoFuncKey(nil, fn, memoOptsOf(opts, &cfg))
 }
 
-// storeSet caches an empty behaviour set for fn on the input 0 through
-// session s.
-func storeSet(s *MemoSession, fn *ir.Func) {
-	ref, _ := lookupFreeze(s, fn, []core.Value{core.VC(ir.I2, 0)})
-	s.store(ref, BehaviorSet{})
-}
+// publishOne publishes a one-set vector for fn.
+func publishOne(m *Memo, fn *ir.Func) { m.publish(freezeKey(fn), []BehaviorSet{{}}) }
 
-// hasSet reports whether fn's set from storeSet is resident.
-func hasSet(s *MemoSession, fn *ir.Func) bool {
-	_, ok := lookupFreeze(s, fn, []core.Value{core.VC(ir.I2, 0)})
-	return ok
-}
+// hasEntry reports whether fn's vector is resident, marking it used.
+func hasEntry(m *Memo, fn *ir.Func) bool { return m.probe(freezeKey(fn)) != nil }
 
-// TestMemoEvictsWhenFull: a full memo admits a new function entry by
-// evicting a cold one, sets and all, instead of refusing it.
+// TestMemoEvictsWhenFull: a full memo admits a new entry by evicting a
+// cold one, sets and all, instead of refusing it.
 func TestMemoEvictsWhenFull(t *testing.T) {
 	m := NewMemo(1)
-	s := m.NewSession()
 	a := ir.MustParseFunc(memoPairs[0].src)
 	b := ir.MustParseFunc(memoPairs[1].src)
 
-	storeSet(s, a)
-	storeSet(s, b)
+	publishOne(m, a)
+	publishOne(m, b)
 	if m.Len() != 1 || m.funcs.Len() != 1 {
 		t.Fatalf("Len = %d sets in %d entries, want 1 in 1 (capacity)", m.Len(), m.funcs.Len())
 	}
 	if m.Evictions() != 1 {
 		t.Errorf("Evictions = %d, want 1", m.Evictions())
 	}
-	if !hasSet(s, b) {
+	if !hasEntry(m, b) {
 		t.Error("newly admitted entry missing")
 	}
-	if hasSet(s, a) {
+	if hasEntry(m, a) {
 		t.Error("cold entry survived eviction")
 	}
 }
 
-// TestMemoSecondChance: the clock spares recently hit entries and
+// TestMemoSecondChance: the clock spares recently probed entries and
 // evicts cold ones.
 func TestMemoSecondChance(t *testing.T) {
 	m := NewMemo(2)
-	s := m.NewSession()
 	fns := []*ir.Func{
 		ir.MustParseFunc(memoPairs[0].src),
 		ir.MustParseFunc(memoPairs[1].src),
 		ir.MustParseFunc(memoPairs[2].src),
 	}
-	storeSet(s, fns[0])
-	storeSet(s, fns[1])
-	// Touch the first entry so its reference bit protects it.
-	if !hasSet(s, fns[0]) {
+	publishOne(m, fns[0])
+	publishOne(m, fns[1])
+	// Probe the first entry so its reference bit protects it.
+	if !hasEntry(m, fns[0]) {
 		t.Fatal("warm entry missing before eviction")
 	}
-	storeSet(s, fns[2])
+	publishOne(m, fns[2])
 
-	if !hasSet(s, fns[0]) {
-		t.Error("recently hit entry was evicted despite its second chance")
+	if !hasEntry(m, fns[0]) {
+		t.Error("recently probed entry was evicted despite its second chance")
 	}
-	if hasSet(s, fns[1]) {
+	if hasEntry(m, fns[1]) {
 		t.Error("cold entry survived; clock should have chosen it as victim")
 	}
 }
 
 // TestMemoSkipsIncomplete: incomplete behaviour sets depend on the
-// enumeration bounds and must never be cached.
+// enumeration bounds and are never cached. A target that loops on some
+// inputs publishes a vector with gaps there, which later Checks
+// recompute, and a target incomplete on every input publishes nothing.
 func TestMemoSkipsIncomplete(t *testing.T) {
-	m := NewMemo(0)
-	s := m.NewSession()
-	fn := ir.MustParseFunc(memoPairs[2].src)
-	ref, _ := lookupFreeze(s, fn, nil)
-	s.store(ref, BehaviorSet{Incomplete: true})
-	if m.Len() != 0 {
-		t.Error("incomplete set was cached")
+	opts := core.FreezeOptions()
+	// The target spins where the source returns 0; both have UB on
+	// poison.
+	src := ir.MustParseFunc("define i2 @f(i2 %a) {\nentry:\n  %c = icmp eq i2 %a, 0\n  br i1 %c, label %zero, label %done\nzero:\n  ret i2 0\ndone:\n  ret i2 %a\n}")
+	gappy := "define i2 @f(i2 %a) {\nentry:\n  %c = icmp eq i2 %a, 0\n  br i1 %c, label %spin, label %done\nspin:\n  br label %spin\ndone:\n  ret i2 %a\n}"
+	looping := "define i2 @f(i2 %a) {\nentry:\n  br label %spin\nspin:\n  br label %spin\n}"
+
+	cfg := DefaultConfig(opts, opts)
+	cfg.Memo = NewMemo(0)
+	res := Check(src, ir.MustParseFunc(looping), cfg)
+	if res.Status != Inconclusive || res.InconclusiveInputs != res.Inputs-1 {
+		t.Fatalf("looping target: %s, want every input but poison inconclusive", res)
+	}
+	if cfg.Memo.Len() != 0 || cfg.Memo.funcs.Len() != 0 {
+		t.Errorf("an all-incomplete vector was published: %d sets in %d entries", cfg.Memo.Len(), cfg.Memo.funcs.Len())
+	}
+
+	var execs uint64
+	cfg.ExecCount = &execs
+	cold := Check(src, ir.MustParseFunc(gappy), cfg)
+	gaps := cold.InconclusiveInputs
+	if cold.Status != Inconclusive || gaps == 0 || gaps == cold.Inputs {
+		t.Fatalf("gappy target: %s, want some inputs inconclusive", cold)
+	}
+	if got := cfg.Memo.Len(); got != cold.Inputs-gaps {
+		t.Errorf("gappy vector holds %d sets, want the %d complete ones", got, cold.Inputs-gaps)
+	}
+	hits := cfg.Memo.Hits()
+	execs = 0
+	warm := Check(ir.MustParseFunc(src.String()), ir.MustParseFunc(gappy), cfg)
+	if !reflect.DeepEqual(warm, cold) {
+		t.Fatalf("memo changed verdict: %s, want %s", warm, cold)
+	}
+	if got := cfg.Memo.Hits() - hits; got != uint64(cold.Inputs-gaps) {
+		t.Errorf("warm Check hit %d inputs, want the %d complete ones", got, cold.Inputs-gaps)
+	}
+	if execs == 0 {
+		t.Error("warm Check recomputed nothing: the gaps were served from the memo")
 	}
 }
 
@@ -208,7 +375,7 @@ func TestMemoEvictionKeepsVerdicts(t *testing.T) {
 		core.FreezeOptions(),
 		core.LegacyOptions(core.BranchPoisonNondet),
 	} {
-		memo := NewMemo(2)
+		memo := NewMemo(1)
 		for round := 0; round < 2; round++ {
 			for i, p := range memoPairs {
 				if p.legacyOnly && opts.Mode == core.Freeze {
@@ -228,10 +395,10 @@ func TestMemoEvictionKeepsVerdicts(t *testing.T) {
 			}
 		}
 		if memo.Evictions() == 0 {
-			t.Errorf("mode=%v: memo of size 2 saw no evictions; test is not exercising the clock", opts.Mode)
+			t.Errorf("mode=%v: memo of size 1 saw no evictions; test is not exercising the clock", opts.Mode)
 		}
-		if got := memo.funcs.Len(); got > 2 {
-			t.Errorf("mode=%v: %d function entries exceed capacity 2", opts.Mode, got)
+		if got := memo.funcs.Len(); got > 1 {
+			t.Errorf("mode=%v: %d function entries exceed capacity 1", opts.Mode, got)
 		}
 	}
 }
@@ -324,7 +491,7 @@ func memoFuncs(n int) (srcs, tgts []string) {
 // residentSets sums the sets held by the entries in m's index.
 func residentSets(m *Memo) int {
 	n := 0
-	m.funcs.Range(func(_ string, e *memoFuncEntry) { n += e.n })
+	m.funcs.Range(func(_ string, e *memoEntry) { n += e.n })
 	return n
 }
 
@@ -417,10 +584,10 @@ func TestMemoSetBudgetBoundsWideFunctions(t *testing.T) {
 	}
 }
 
-// TestMemoWideEntryGrowsOnDemand: an i16 entry's ordinal space has
-// 2^16+ slots, but a Check that refutes within a few inputs must not
-// allocate them all.
-func TestMemoWideEntryGrowsOnDemand(t *testing.T) {
+// TestMemoWideMissGrowsOnDemand: an i16 target's vector has 2^16+
+// slots, but a Check that refutes within a few inputs must neither
+// allocate them all in its session nor publish a partial vector.
+func TestMemoWideMissGrowsOnDemand(t *testing.T) {
 	opts := core.FreezeOptions()
 	src := ir.MustParseFunc("define i16 @f(i16 %a) {\nentry:\n  ret i16 %a\n}")
 	tgt := ir.MustParseFunc("define i16 @f(i16 %a) {\nentry:\n  ret i16 7\n}")
@@ -428,60 +595,64 @@ func TestMemoWideEntryGrowsOnDemand(t *testing.T) {
 	cfg.ExhaustiveInputBits = 16
 	cfg.MaxInputs = 1 << 17
 	cfg.Memo = NewMemo(0)
+	cfg.Session = cfg.Memo.NewSession()
 	res := Check(src, tgt, cfg)
 	if res.Status != Refuted || res.Inputs > 16 {
 		t.Fatalf("got %s after %d inputs, want an early refutation", res, res.Inputs)
 	}
-	cfg.Memo.funcs.Range(func(_ string, e *memoFuncEntry) {
-		if cap(e.byIdx) > 2*res.Inputs {
-			t.Errorf("entry allocated %d slots for %d inputs", cap(e.byIdx), res.Inputs)
-		}
-	})
+	if got := cap(cfg.Session.fresh); got > 2*res.Inputs {
+		t.Errorf("session allocated %d target slots for %d inputs", got, res.Inputs)
+	}
+	if got := cap(cfg.Session.src.sets); got > 2*res.Inputs {
+		t.Errorf("session allocated %d source slots for %d inputs", got, res.Inputs)
+	}
+	if cfg.Memo.funcs.Len() != 0 {
+		t.Error("a refuted Check published a partial vector")
+	}
 }
 
-// TestMemoDeadEntryReresolved: a session that still holds an evicted
-// entry — on a Check side or in its identity cache — must neither
-// refill it nor keep missing on it; its next lookup goes back to the
-// index.
-func TestMemoDeadEntryReresolved(t *testing.T) {
-	m := NewMemo(1)
-	holder, other := m.NewSession(), m.NewSession()
-	a := ir.MustParseFunc(memoPairs[0].src)
-	b := ir.MustParseFunc(memoPairs[1].src)
+// TestMemoEvictedEntryLeavesIndex: a Check already reading an evicted
+// vector may finish with it, but the index forgets it: the next probe
+// misses, and the next Check recomputes and republishes it.
+func TestMemoEvictedEntryLeavesIndex(t *testing.T) {
 	opts := core.FreezeOptions()
 	cfg := DefaultConfig(opts, opts)
-	in := []core.Value{core.VC(ir.I2, 0)}
+	cfg.Memo = NewMemo(1)
+	a := memoPairs[0]
+	b := memoPairs[2]
 
-	for _, viaSide := range []bool{true, false} {
-		sd := &side{fn: a, opts: opts}
-		ref, _, _ := holder.lookup(sd, in, 0, &cfg)
-		storeSet(other, b) // evicts a's entry while holder still has it
-		if !ref.entry.dead.Load() {
-			t.Fatal("entry for a was not evicted")
-		}
-		holder.store(ref, BehaviorSet{})
-		if m.Len() != 1 || ref.entry.n != 0 {
-			t.Fatalf("store into an evicted entry was kept: Len=%d, dead entry holds %d", m.Len(), ref.entry.n)
-		}
-		if !viaSide {
-			sd = &side{fn: a, opts: opts} // only the identity cache remembers
-		}
-		ref2, _, _ := holder.lookup(sd, in, 0, &cfg)
-		if ref2.entry == ref.entry || ref2.entry.dead.Load() {
-			t.Fatalf("viaSide=%v: lookup kept using the evicted entry", viaSide)
-		}
-		holder.store(ref2, BehaviorSet{})
-		if _, _, ok := holder.lookup(sd, in, 0, &cfg); !ok {
-			t.Errorf("viaSide=%v: set stored after re-resolution is missing", viaSide)
-		}
+	want := Check(ir.MustParseFunc(a.src), ir.MustParseFunc(a.tgt), cfg)
+	held := cfg.Memo.probe(freezeKey(ir.MustParseFunc(a.tgt)))
+	if held == nil {
+		t.Fatal("a's target was not published")
+	}
+	Check(ir.MustParseFunc(b.src), ir.MustParseFunc(b.tgt), cfg) // evicts a's entry
+	if cfg.Memo.Evictions() != 1 || hasEntry(cfg.Memo, ir.MustParseFunc(a.tgt)) {
+		t.Fatalf("evictions=%d: a's entry is still indexed", cfg.Memo.Evictions())
+	}
+	if held.n != want.Inputs || len(held.sets) != want.Inputs {
+		t.Errorf("eviction changed a held vector: %d sets in %d slots", held.n, len(held.sets))
+	}
+	hits := cfg.Memo.Hits()
+	if got := Check(ir.MustParseFunc(a.src), ir.MustParseFunc(a.tgt), cfg); !reflect.DeepEqual(got, want) {
+		t.Fatalf("verdict after eviction: %s, want %s", got, want)
+	}
+	if cfg.Memo.Hits() != hits {
+		t.Error("a Check hit an evicted entry")
+	}
+	if !hasEntry(cfg.Memo, ir.MustParseFunc(a.tgt)) {
+		t.Error("the recomputed vector was not republished")
+	}
+	if got, want := cfg.Memo.Len(), residentSets(cfg.Memo); got != want {
+		t.Errorf("Len = %d, but the index holds %d sets", got, want)
 	}
 }
 
 // TestMemoConcurrentEviction has workers check a rotating set of
-// functions through a memo that holds only two entries, or only a
-// dozen sets, so entries are evicted — to admit a new entry, or to
-// meet the set budget — while other sessions hold them in their
-// identity caches and are mid-lookup or mid-store on them. Verdicts
+// functions through a memo that holds only two entries, or fewer sets
+// than one wide vector, so entries are evicted — to admit a new entry,
+// or to meet the set budget — while other sessions are reading them or
+// publishing beside them. Verdicts
 // must match memo-less runs, the bounds must hold at the end, and the
 // index and set count must agree. Run under -race it also exercises
 // the ring → stripe lock order.
@@ -495,8 +666,8 @@ func TestMemoConcurrentEviction(t *testing.T) {
 		}
 	})
 	t.Run("sets", func(t *testing.T) {
-		// Each i8 entry fills to about 260 sets against a budget of
-		// 128, so stores keep evicting entries mid-fill.
+		// Each i8 vector holds about 260 sets against a budget of
+		// 128, so every publish evicts to meet it.
 		srcs, tgts := wideFuncs(4)
 		memo := NewMemo(4)
 		raceEviction(t, memo, srcs, tgts, 8)
@@ -524,9 +695,9 @@ func raceEviction(t *testing.T, memo *Memo, srcs, tgts []string, inputBits uint)
 			cfg := base
 			cfg.Memo = memo
 			cfg.Session = memo.NewSession()
-			// Parsed once per worker, so the identity cache keeps
-			// resolving the same *ir.Func to entries that other
-			// workers evict underneath it.
+			// Parsed once per worker, so repeated Checks keep probing
+			// the same keys while other workers evict and republish
+			// them.
 			src := make([]*ir.Func, len(srcs))
 			tgt := make([]*ir.Func, len(srcs))
 			for i := range srcs {
@@ -560,14 +731,17 @@ func raceEviction(t *testing.T, memo *Memo, srcs, tgts []string, inputBits uint)
 	}
 }
 
-// TestMemoHitSkipsCompile: a Check whose every behaviour set comes from
-// the memo never compiles either side.
+// TestMemoHitSkipsCompile: a Check whose every behaviour set is served
+// — the source from the session's source vector, the target from the
+// memo — never compiles either side. That is a campaign's second
+// transform of a candidate whose target an earlier Check published.
 func TestMemoHitSkipsCompile(t *testing.T) {
 	opts := core.FreezeOptions()
 	src := ir.MustParseFunc(memoPairs[0].src)
 	tgt := ir.MustParseFunc(memoPairs[0].tgt)
 	cfg := DefaultConfig(opts, opts)
 	cfg.Memo = NewMemo(0)
+	cfg.Session = cfg.Memo.NewSession()
 	cfg.Programs = core.NewProgramCache(0)
 	var m CheckMetrics
 	cfg.Metrics = &m
@@ -578,17 +752,17 @@ func TestMemoHitSkipsCompile(t *testing.T) {
 	}
 	coldExecs := m.Engine.Execs
 	before := cfg.Programs.Stats()
-	// Fresh, textually identical functions: the program cache is keyed
-	// by pointer, so any compile would show up as a miss.
-	warm := Check(ir.MustParseFunc(memoPairs[0].src), ir.MustParseFunc(memoPairs[0].tgt), cfg)
+	// A fresh, textually identical target: the program cache is keyed
+	// by pointer, so compiling it would show up as a miss.
+	warm := Check(src, ir.MustParseFunc(memoPairs[0].tgt), cfg)
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatalf("memo changed verdict: %s, want %s", warm, cold)
 	}
 	after := cfg.Programs.Stats()
 	if after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Errorf("all-hit Check touched the program cache: %+v -> %+v", before, after)
+		t.Errorf("all-served Check touched the program cache: %+v -> %+v", before, after)
 	}
 	if m.Engine.Execs != coldExecs {
-		t.Errorf("all-hit Check executed %d times", m.Engine.Execs-coldExecs)
+		t.Errorf("all-served Check executed %d times", m.Engine.Execs-coldExecs)
 	}
 }

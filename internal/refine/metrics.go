@@ -16,14 +16,16 @@ type CheckMetrics struct {
 	Inputs uint64
 
 	// SetsComputed / SetsMemoHit split behaviour-set consumption by
-	// provenance. Under a shared cross-shard memo the split depends on
-	// scheduling (which worker computes a set first); the SUM is
+	// provenance: SetsMemoHit counts sets served without computing
+	// them, from a target's memo vector or the session's source vector.
+	// Under a shared cross-shard memo the split depends on scheduling
+	// (which worker publishes a target first); the SUM is
 	// deterministic, and SetSize observes every consumed set so its
 	// distribution is deterministic too.
 	SetsComputed uint64
 	SetsMemoHit  uint64
 
-	// Execs counts engine executions actually performed (memo hits
+	// Execs counts engine executions actually performed (served sets
 	// contribute nothing — so this is scheduling-dependent whenever the
 	// memo is shared).
 	Execs uint64

@@ -126,9 +126,9 @@ type Config struct {
 	// ordinals depend on the input enumeration this governs.
 	ExhaustiveInputBits uint
 
-	// Memo, when non-nil, caches behaviour sets by canonical
-	// (function, semantics, input) key so structurally identical
-	// candidates skip re-computation. A memo hit never changes a
+	// Memo, when non-nil, caches each checked target's behaviour
+	// vector by canonical (function, semantics) key so structurally
+	// identical targets skip re-computation. A memo hit never changes a
 	// verdict (keys are full canonical strings, not hashes). One Memo
 	// may be shared by every worker of a campaign; each goroutine must
 	// then also carry its own Session.
@@ -137,8 +137,9 @@ type Config struct {
 	// Session is this goroutine's handle on Memo. Check creates a
 	// private one when Memo is set and Session is nil, which is fine
 	// for one-off checks; loops over many checks should create one
-	// session per worker (Memo.NewSession) and reuse it, or the memo's
-	// function-identity fast path never warms up.
+	// session per worker (Memo.NewSession) and reuse it, or a source
+	// checked against several targets is swept once per Check instead
+	// of once.
 	Session *MemoSession
 
 	// Oracle, when non-nil, is reused across executions instead of
@@ -168,7 +169,8 @@ type Config struct {
 	Programs *core.ProgramCache
 
 	// ExecCount, when non-nil, is incremented by the number of
-	// executions actually performed (memo hits contribute nothing).
+	// executions actually performed (sets served from a memo or source
+	// vector contribute nothing).
 	ExecCount *uint64
 
 	// Metrics, when non-nil, accumulates validator counters (checks,
@@ -178,7 +180,8 @@ type Config struct {
 	Metrics *CheckMetrics
 
 	// BehaviorHook, when non-nil, observes every behaviour set Check
-	// consumes — computed or memo-hit — in deterministic order. Used by
+	// consumes — computed or served from a vector — in deterministic
+	// order, source then target for each input. Used by
 	// tame-bench to fingerprint engine equivalence and by the mutation
 	// fuzzer to derive coverage digests.
 	BehaviorHook func(BehaviorSet)
@@ -186,7 +189,7 @@ type Config struct {
 	// Trace, when non-nil, records per-phase spans inside every Check:
 	// "behaviors_src" / "behaviors_tgt" around each input's
 	// behaviour-set derivation, and "compile" around a side's executor
-	// setup, nested in the behaviours span of its first memo miss.
+	// setup, nested in the behaviours span of its first computed set.
 	// The spans cost a clock read per phase on the hot path, so
 	// campaigns leave this nil unless they are traced (-trace). A traced
 	// scope (Scope.WithTrace) additionally lands the spans in the
@@ -211,27 +214,22 @@ func DefaultConfig(srcOpts, tgtOpts core.Options) Config {
 }
 
 // Behaviors computes the behaviour set of fn on args by exhaustive
-// oracle enumeration, consulting cfg.Memo first when one is set. On a
-// miss the function is compiled (core.Compile) and the resulting
-// program's frame and memory are reused across the whole sweep; set
-// cfg.Interpret to force the legacy interpreter instead.
+// oracle enumeration. The function is compiled (core.Compile) and the
+// resulting program's frame and memory are reused across the whole
+// sweep; set cfg.Interpret to force the legacy interpreter instead.
+// The memo serves Check's targets only, so cfg.Memo is not consulted.
 func Behaviors(fn *ir.Func, args []core.Value, opts core.Options, cfg Config) BehaviorSet {
-	if cfg.Memo != nil && cfg.Session == nil {
-		cfg.Session = cfg.Memo.NewSession()
-	}
-	return behaviorsAt(&side{fn: fn, opts: opts}, args, -1, &cfg)
+	return (&side{fn: fn, opts: opts}).behaviors(args, &cfg)
 }
 
 // side is one function under check with the semantics it runs under
-// and its executor, which is built at the side's first memo miss: a
-// side whose every behaviour set comes from the memo is never
+// and its executor, which is built at the side's first computed
+// behaviour set: a side whose every set comes from a vector is never
 // compiled.
 type side struct {
-	fn     *ir.Func
-	opts   core.Options
-	ex     *core.Executor
-	entry  *memoFuncEntry // resolved at the first memo lookup
-	inputs int            // size of Check's input enumeration; 0 outside Check
+	fn   *ir.Func
+	opts core.Options
+	ex   *core.Executor
 }
 
 // executor returns the side's executor, compiling it on first use
@@ -275,29 +273,21 @@ func (cfg Config) executor(fn *ir.Func, opts core.Options) *core.Executor {
 	return ex
 }
 
-// behaviorsAt is the enumeration core: on a memo miss it sweeps the
-// oracle through every resolution of nondeterminism, executing on the
-// side's executor, or on the tree-walking interpreter under
-// cfg.Interpret. ordinal, when non-negative, is the input vector's
-// position in Check's deterministic enumeration, unlocking the memo's
-// string-free fast path; -1 means "unknown". Memo traffic goes through
-// cfg.Session (the public entry points create one from cfg.Memo when
-// needed).
-func behaviorsAt(sd *side, args []core.Value, ordinal int, cfg *Config) BehaviorSet {
-	fn, opts := sd.fn, sd.opts
-	var memoRef memoRef
-	if cfg.Session != nil {
-		var set BehaviorSet
-		var ok bool
-		memoRef, set, ok = cfg.Session.lookup(sd, args, ordinal, cfg)
-		if ok {
-			cfg.Metrics.observe(set, true, 0)
-			if cfg.BehaviorHook != nil {
-				cfg.BehaviorHook(set)
-			}
-			return set
-		}
+// served records a behaviour set consumed without computing it: read
+// from a memo vector or the session's source vector.
+func (cfg *Config) served(set BehaviorSet) BehaviorSet {
+	cfg.Metrics.observe(set, true, 0)
+	if cfg.BehaviorHook != nil {
+		cfg.BehaviorHook(set)
 	}
+	return set
+}
+
+// behaviors is the enumeration core: it sweeps the oracle through
+// every resolution of nondeterminism, executing on the side's
+// executor, or on the tree-walking interpreter under cfg.Interpret.
+func (sd *side) behaviors(args []core.Value, cfg *Config) BehaviorSet {
+	fn, opts := sd.fn, sd.opts
 	ex := sd.executor(cfg)
 	set := BehaviorSet{Rets: newRetSet(fn.RetTy)}
 	if !fn.RetTy.IsVoid() && fn.RetTy.Bitwidth() <= 20 {
@@ -363,13 +353,46 @@ func behaviorsAt(sd *side, args []core.Value, ordinal int, cfg *Config) Behavior
 		*cfg.ExecCount += uint64(execs)
 	}
 	cfg.Metrics.observe(set, false, uint64(execs))
-	if cfg.Session != nil {
-		memoRef.inputs = sd.inputs
-		cfg.Session.store(memoRef, set)
-	}
 	if cfg.BehaviorHook != nil {
 		cfg.BehaviorHook(set)
 	}
+	return set
+}
+
+// sourceAt returns the source's set on input i, the i'th of Check's
+// enumeration, from the session's source vector when it holds one
+// (sv is nil without a memo).
+func (sd *side) sourceAt(sv *srcVector, args []core.Value, i int, cfg *Config) BehaviorSet {
+	if sv != nil && i < len(sv.sets) {
+		return cfg.served(sv.sets[i])
+	}
+	set := sd.behaviors(args, cfg)
+	if sv != nil {
+		sv.sets = append(sv.sets, set) // i == len(sv.sets): inputs come in order
+	}
+	return set
+}
+
+// targetAt returns the target's set on input i: from its published
+// vector, from the source vector when the target is the source, or
+// computed — and collected for publishing on a memo miss.
+func (sd *side) targetAt(p *targetProbe, sv *srcVector, args []core.Value, i int, cfg *Config) BehaviorSet {
+	if p == nil {
+		return sd.behaviors(args, cfg)
+	}
+	p.lookups++
+	switch e := p.entry; {
+	case e != nil:
+		if i < len(e.sets) && !e.sets[i].Incomplete {
+			p.hits++
+			return cfg.served(e.sets[i])
+		}
+		return sd.behaviors(args, cfg)
+	case p.same:
+		return cfg.served(sv.sets[i])
+	}
+	set := sd.behaviors(args, cfg)
+	p.s.fresh = append(p.s.fresh, set)
 	return set
 }
 
@@ -485,10 +508,12 @@ func (r Result) String() string {
 // no counterexample appears.
 //
 // Each side is compiled at most once (or fetched from cfg.Programs),
-// at its first memo miss, and executed through a pooled frame across
-// the rest of the input×oracle sweep, so the per-execution cost is
-// dispatch, not setup. A side the memo answers on every input is never
-// compiled.
+// at its first computed behaviour set, and executed through a pooled
+// frame across the rest of the input×oracle sweep, so the per-execution
+// cost is dispatch, not setup. With a memo, the target is resolved by
+// one probe and a target the memo answers on every input is never
+// compiled; the source is served from the session's source vector when
+// the previous Check had the same source.
 func Check(src, tgt *ir.Func, cfg Config) Result {
 	if len(src.Params) != len(tgt.Params) {
 		panic("refine: signature mismatch")
@@ -505,16 +530,24 @@ func Check(src, tgt *ir.Func, cfg Config) Result {
 	// few parameters.
 	var spaceBuf [4]paramSpace
 	var digitBuf [4]inputDigit
-	spaces, exhaustive, inputs := spaceBuf[:0], true, 1
+	spaces, exhaustive := spaceBuf[:0], true
 	for _, p := range src.Params {
 		ps, ex := paramSpaceOf(p.Ty, cfg.SrcOpts.Mode, cfg.ExhaustiveInputBits)
 		spaces = append(spaces, ps)
 		exhaustive = exhaustive && ex
-		inputs = min(inputs*ps.size(), cfg.MaxInputs)
 	}
 	od, args := newOdometer(spaces, digitBuf[:0])
-	srcSide := side{fn: src, opts: cfg.SrcOpts, inputs: inputs}
-	tgtSide := side{fn: tgt, opts: cfg.TgtOpts, inputs: inputs}
+	srcSide := side{fn: src, opts: cfg.SrcOpts}
+	tgtSide := side{fn: tgt, opts: cfg.TgtOpts}
+	var sv *srcVector
+	var probe *targetProbe
+	if s := cfg.Session; s != nil {
+		srcMO, tgtMO := memoOptsOf(cfg.SrcOpts, &cfg), memoOptsOf(cfg.TgtOpts, &cfg)
+		sv = s.source(src, srcMO)
+		p := s.probeTarget(src, tgt, srcMO, tgtMO)
+		probe = &p
+		defer probe.flush()
+	}
 	if cfg.Metrics != nil {
 		cfg.Metrics.Checks++
 		// Executors accumulate engine counters across the whole sweep;
@@ -535,10 +568,10 @@ func Check(src, tgt *ir.Func, cfg Config) Result {
 			break
 		}
 		sp := cfg.Trace.Start("behaviors_src")
-		sb := behaviorsAt(&srcSide, args, res.Inputs-1, &cfg)
+		sb := srcSide.sourceAt(sv, args, res.Inputs-1, &cfg)
 		sp.End()
 		sp = cfg.Trace.Start("behaviors_tgt")
-		tb := behaviorsAt(&tgtSide, args, res.Inputs-1, &cfg)
+		tb := tgtSide.targetAt(probe, sv, args, res.Inputs-1, &cfg)
 		sp.End()
 		ok, reason := Refines(sb, tb)
 		if !ok {
@@ -557,6 +590,9 @@ func Check(src, tgt *ir.Func, cfg Config) Result {
 		if !od.next() {
 			break
 		}
+	}
+	if probe != nil {
+		probe.publish(sv)
 	}
 	if res.InconclusiveInputs > 0 || !res.Exhaustive {
 		res.Status = Inconclusive

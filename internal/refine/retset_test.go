@@ -323,7 +323,8 @@ entry:
 }
 
 // A warm executor sweeping an i2-returning function allocates nothing
-// per computed behaviour set, memo lookup and store included.
+// per computed behaviour set, the source vector and a missing target's
+// fresh vector included.
 func TestBehaviorSweepAllocs(t *testing.T) {
 	fn := ir.MustParseFunc(`define i2 @f(i2 %x, i2 %y) {
 entry:
@@ -336,28 +337,47 @@ entry:
 	cfg.Tier = core.TierPolicy{}
 	cfg.Oracle = core.NewEnumOracle(cfg.MaxChoices, cfg.MaxFanout)
 	cfg.Memo = NewMemo(0)
-	cfg.Session = cfg.Memo.NewSession()
-	// Every ordinal is new, so every lookup misses; the first store
-	// sizes the entry's slots for the whole ordinal space.
-	sd := &side{fn: fn, opts: opts, inputs: memoPreallocInputs}
+	s := cfg.Memo.NewSession()
+	cfg.Session = s
+	sv := s.source(fn, memoOptsOf(opts, &cfg))
+	miss := targetProbe{s: s} // no entry, not the source: every set is computed
+	src, tgt := &side{fn: fn, opts: opts}, &side{fn: fn, opts: opts}
 	args := []core.Value{core.VPoison(ir.I2), core.VC(ir.I2, 1)}
 	ordinal := 0
 	sweep := func() {
-		if set := behaviorsAt(sd, args, ordinal, &cfg); set.Rets.Len() != 4 {
-			t.Fatalf("sweep returned %s", set)
+		if set := src.sourceAt(sv, args, ordinal, &cfg); set.Rets.Len() != 4 {
+			t.Fatalf("source sweep returned %s", set)
+		}
+		if set := tgt.targetAt(&miss, sv, args, ordinal, &cfg); set.Rets.Len() != 4 {
+			t.Fatalf("target sweep returned %s", set)
 		}
 		ordinal++
 	}
-	sweep() // compile the executor, resolve the memo entry
-	if allocs := testing.AllocsPerRun(100, sweep); allocs != 0 {
-		t.Fatalf("%v allocations per computed set, want 0", allocs)
+	// Compile the executors and grow the session's vectors, then start
+	// over on the warm scratch as the next Check would.
+	for range 256 {
+		sweep()
 	}
-	if cfg.Memo.Hits() != 0 {
-		t.Fatalf("%d memo hits, want every lookup to miss", cfg.Memo.Hits())
+	sv.sets, s.fresh, ordinal = sv.sets[:0], s.fresh[:0], 0
+	if allocs := testing.AllocsPerRun(100, sweep); allocs != 0 {
+		t.Fatalf("%v allocations per computed input, want 0", allocs)
+	}
+	if cfg.Memo.Lookups() != 0 || cfg.Memo.Len() != 0 {
+		t.Fatalf("computing sets touched the shared memo: %d lookups, %d sets", cfg.Memo.Lookups(), cfg.Memo.Len())
 	}
 }
 
 // full is the mask holding every value of the domain.
 func (d *retDomain) full() uint64 {
 	return ^uint64(0) >> (64 - len(d.keys))
+}
+
+// argsKey renders an input vector as one comparable string.
+func argsKey(args []core.Value) string {
+	var b strings.Builder
+	for _, a := range args {
+		b.WriteString(a.Key())
+		b.WriteByte(0)
+	}
+	return b.String()
 }
